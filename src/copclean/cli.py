@@ -21,7 +21,7 @@ import time
 from . import construction as cons
 from . import families, solvers, stochastic
 from .cleaning import StrategyScript, run_script
-from .errors import CopcleanError, TooLargeError
+from .errors import BadParamError, CopcleanError, TooLargeError
 from .graphs import (
     Graph,
     emit_graph6,
@@ -54,17 +54,25 @@ def _add_graph_input(p: argparse.ArgumentParser):
                           "star:6, spider:3:2, tree:10:42, heawood")
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise BadParamError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise BadParamError(f"{path} is not UTF-8 text") from None
+
+
 def _load_graph(args) -> Graph:
     if args.family:
         return families.from_spec(args.family)
     if args.edges:
-        with open(args.edges) as fh:
-            return parse_edge_list(fh.read())
-    with open(args.g6_file) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return parse_graph6(line)
+        return parse_edge_list(_read_text(args.edges))
+    for line in _read_text(args.g6_file).splitlines():
+        line = line.strip()
+        if line:
+            return parse_graph6(line)
     raise CopcleanError("no graph6 record found in input file")
 
 
@@ -89,8 +97,7 @@ def cmd_gen(args) -> int:
 
 def cmd_clean_sim(args) -> int:
     g = _load_graph(args)
-    with open(args.script) as fh:
-        script = StrategyScript.from_json(fh.read())
+    script = StrategyScript.from_json(_read_text(args.script))
     trace = run_script(g, script)
     out = {
         "min_gas": trace.min_gas,
@@ -313,6 +320,19 @@ def _sweep_one(task):
     return rec
 
 
+def _sweep_records(check, params, n_min, n_max, jobs, timing=False):
+    """Records of ``check`` on every connected class with n_min..n_max
+    vertices, in enumeration order.  With jobs > 1 one worker pool serves
+    the whole range; output order does not depend on ``jobs``."""
+    tasks = ((emit_graph6(g), check, params, timing)
+             for n in range(n_min, n_max + 1) for g in enumerate_connected(n))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(_sweep_one, tasks, chunksize=16)
+    else:
+        yield from map(_sweep_one, tasks)
+
+
 def cmd_sweep(args) -> int:
     cap = 9 if args.big else 8
     if args.n_max > cap:
@@ -322,15 +342,10 @@ def cmd_sweep(args) -> int:
     if args.check not in SWEEP_CHECKS:
         raise CopcleanError(f"unknown check {args.check!r}; pick from {sorted(SWEEP_CHECKS)}")
     params = {"l": args.l, "k": args.k, "r": args.r, "rho": args.rho}
-    tasks = []
-    for n in range(args.n_min, args.n_max + 1):
-        for g in enumerate_connected(n):
-            tasks.append((emit_graph6(g), args.check, params, args.timing))
     bad = 0
     total = 0
-
-    def consume(rec):
-        nonlocal bad, total
+    for rec in _sweep_records(args.check, params, args.n_min, args.n_max, args.jobs,
+                              args.timing):
         total += 1
         if not rec["ok"]:
             bad += 1
@@ -339,14 +354,6 @@ def cmd_sweep(args) -> int:
         elif not rec["ok"] or args.verbose:
             flat = " ".join(f"{k}={rec[k]}" for k in sorted(rec) if k not in ("graph6", "check"))
             print(f"{rec['graph6']}: {flat}")
-
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            for rec in pool.imap(_sweep_one, tasks, chunksize=16):
-                consume(rec)
-    else:
-        for task in tasks:
-            consume(_sweep_one(task))
     summary = {"summary": {"check": args.check, "graphs": total, "failures": bad}}
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -360,42 +367,24 @@ def cmd_sweep(args) -> int:
 
 def _suite_thm_clean_8(args):
     n_max = 9 if args.big else 8
-    details = []
-    bad = 0
-    for n in range(1, n_max + 1):
-        tasks = [(emit_graph6(g), "cleanable", {"l": 1, "k": 2, "r": 0, "rho": 0}, False)
-                 for g in enumerate_connected(n)]
-        fails = 0
-        if args.jobs > 1:
-            with multiprocessing.Pool(args.jobs) as pool:
-                for rec in pool.imap(_sweep_one, tasks, chunksize=16):
-                    if not rec["ok"]:
-                        fails += 1
-        else:
-            for t in tasks:
-                if not _sweep_one(t)["ok"]:
-                    fails += 1
-        bad += fails
-        details.append({"n": n, "graphs": len(tasks), "failures": fails})
-    return bad == 0, {"per_n": details, "claim": "two sight-1 searchers clean every connected graph"}
+    details = [{"n": n, "graphs": 0, "failures": 0} for n in range(1, n_max + 1)]
+    params = {"l": 1, "k": 2, "r": 0, "rho": 0}
+    for rec in _sweep_records("cleanable", params, 1, n_max, args.jobs):
+        d = details[rec["n"] - 1]
+        d["graphs"] += 1
+        if not rec["ok"]:
+            d["failures"] += 1
+    ok = not any(d["failures"] for d in details)
+    return ok, {"per_n": details, "claim": "two sight-1 searchers clean every connected graph"}
 
 
 def _run_enum_checks(args, check, params, n_max):
     bad = []
     total = 0
-    for n in range(1, n_max + 1):
-        tasks = [(emit_graph6(g), check, params, False) for g in enumerate_connected(n)]
-        total += len(tasks)
-        if args.jobs > 1:
-            with multiprocessing.Pool(args.jobs) as pool:
-                for rec in pool.imap(_sweep_one, tasks, chunksize=16):
-                    if not rec["ok"]:
-                        bad.append(rec["graph6"])
-        else:
-            for t in tasks:
-                rec = _sweep_one(t)
-                if not rec["ok"]:
-                    bad.append(rec["graph6"])
+    for rec in _sweep_records(check, params, 1, n_max, args.jobs):
+        total += 1
+        if not rec["ok"]:
+            bad.append(rec["graph6"])
     return bad, total
 
 

@@ -17,10 +17,6 @@ class VertexRangeError(CopcleanError, ValueError):
     code = "VERTEX_OUT_OF_RANGE"
 
 
-class BadKError(CopcleanError, ValueError):
-    code = "BAD_K"
-
-
 class IllegalMoveError(CopcleanError, ValueError):
     code = "ILLEGAL_MOVE"
 

@@ -93,10 +93,6 @@ class Graph:
         indptr.setflags(write=False)
         return Graph(n, indptr=indptr, nbrs=nbrs, name=name)
 
-    @staticmethod
-    def from_bit_rows(rows: tuple[int, ...], name: str | None = None) -> "Graph":
-        return Graph(len(rows), rows=tuple(rows), name=name)
-
     # -- basic queries -----------------------------------------------------
 
     def neighbors(self, v: int):
@@ -517,24 +513,19 @@ def emit_edge_list(g: Graph) -> str:
 # -- canonical forms and enumeration ----------------------------------------
 
 
-def canonical_key(rows: tuple[int, ...], n: int, colors: Optional[tuple[int, ...]] = None):
-    """Canonical certificate: minimum upper-triangle bit-string over all
-    vertex orders (colour-respecting orders when ``colors`` is given).
+def canonical_key(rows: tuple[int, ...], n: int) -> int:
+    """Canonical certificate: the minimum upper-triangle bit-string over all
+    vertex orders, as an int.  Two graphs on n vertices are isomorphic iff
+    their certificates are equal.
 
-    Returns an int for uncoloured graphs, else (sorted colours, int).
     Branch-and-bound over partial orders with prefix pruning; equal
     candidates related by a swap automorphism are explored once.
     """
     if n == 1:
-        return 0 if colors is None else ((colors[0],), 0)
+        return 0
     total_bits = n * (n - 1) // 2
     best = (1 << total_bits) - 1  # all-ones is the lexicographic maximum
     full = (1 << n) - 1
-
-    if colors is None:
-        color_of = None
-    else:
-        color_of = colors
 
     def dfs(placed, placed_mask, partial, bits_used):
         nonlocal best
@@ -544,12 +535,8 @@ def canonical_key(rows: tuple[int, ...], n: int, colors: Optional[tuple[int, ...
                 best = partial
             return
         rem = full & ~placed_mask
-        cand = _mask_bits(rem)
-        if color_of is not None:
-            cmin = min(color_of[w] for w in cand)
-            cand = [w for w in cand if color_of[w] == cmin]
         scored = []
-        for w in cand:
+        for w in _mask_bits(rem):
             rw = rows[w]
             bits = 0
             for p in placed:
@@ -577,9 +564,7 @@ def canonical_key(rows: tuple[int, ...], n: int, colors: Optional[tuple[int, ...
             dfs(placed + [w], placed_mask | (1 << w), partial2, used2)
 
     dfs([], 0, 0, 0)
-    if colors is None:
-        return best
-    return (tuple(sorted(colors)), best)
+    return best
 
 
 def rows_from_key(key: int, n: int) -> tuple[int, ...]:

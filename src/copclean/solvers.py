@@ -4,12 +4,16 @@ Three engines share this module:
 
 * ``solve_cleaning`` explores the full cleaning game (searchers vs. gas) over
   packed integer states and answers see/infer/max-clean questions, with an
-  optional replayable witness script.
+  optional replayable witness script.  Every searcher placement seeds the
+  search.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
-  radius, solved by backward induction over cop-move/robber-move states.
+  radius, solved by backward induction over cop-move/robber-move states
+  (``_pursuit_attractor``, shared with the random-searcher chain in
+  ``stochastic``).
 * ``limited_capture_solve`` handles capture under limited sight: cops track a
   set of candidate robber locations, and the game is an AND-OR reachability
-  problem over (positions, candidate-set) states.
+  problem over (positions, candidate-set) states, solved by one bucketed
+  retrograde pass that yields both the winning region and the round counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -25,21 +29,31 @@ from typing import Optional
 
 from .cleaning import StrategyScript
 from .errors import BadParamError, TooLargeError
-from .graphs import Graph, canonical_key
+from .graphs import Graph, _mask_bits
 
 _CLEAN_MAX_N = 26
 _PURSUIT_MAX_N = 64
 _DEFAULT_BUDGET = 5_000_000
 _GREEDY_POPS = 20_000
+NONE = -1   # unresolved entry of a retrograde table
 
 
 def _budget(arg: Optional[int]) -> int:
-    if arg is not None:
-        if arg < 1:
-            raise BadParamError("state budget must be positive")
-        return arg
-    env = os.environ.get("COPCLEAN_STATE_BUDGET")
-    return int(env) if env else _DEFAULT_BUDGET
+    """The state budget: ``arg`` if given, else ``COPCLEAN_STATE_BUDGET``,
+    else the default.  Either source must be a positive integer."""
+    if arg is None:
+        env = os.environ.get("COPCLEAN_STATE_BUDGET")
+        if not env:
+            return _DEFAULT_BUDGET
+        try:
+            arg = int(env)
+        except ValueError:
+            raise BadParamError(
+                f"COPCLEAN_STATE_BUDGET must be a positive integer, got {env!r}"
+            ) from None
+    if arg < 1:
+        raise BadParamError("state budget must be positive")
+    return arg
 
 
 def _check_game_graph(g: Graph, max_n: int):
@@ -85,7 +99,7 @@ def _config_tables(g: Graph, k: int, l: int):
     rank = {c: i for i, c in enumerate(cfgs)}
     sights = []
     succs = []
-    move_opts = [_bits(closed1[v]) for v in range(n)]
+    move_opts = [_mask_bits(closed1[v]) for v in range(n)]
     for cfg in cfgs:
         s = 0
         for v in cfg:
@@ -98,46 +112,11 @@ def _config_tables(g: Graph, k: int, l: int):
     return cfgs, rank, sights, succs
 
 
-def _bits(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _occ_mask(cfg) -> int:
     m = 0
     for v in cfg:
         m |= 1 << v
     return m
-
-
-def _initial_reps(g: Graph, cfgs, symmetry: Optional[bool]):
-    """Indices of initial placements to try, one per placement-isomorphism
-    class when symmetry reduction is on (minimum over placements is
-    preserved: any play from a placement maps vertex-by-vertex to a play
-    from an equivalent one)."""
-    if symmetry is None:
-        # canonical forms are cheap enough to pay off only in a mid band:
-        # below it there is nothing to save, above it the certificate search
-        # itself can dwarf the whole state-space walk
-        symmetry = 10 <= g.n <= 14
-    if not symmetry:
-        return list(range(len(cfgs)))
-    rows = g.bit_rows
-    seen = set()
-    reps = []
-    for i, cfg in enumerate(cfgs):
-        colors = [0] * g.n
-        for v in cfg:
-            colors[v] += 1
-        key = canonical_key(rows, g.n, tuple(colors))
-        if key not in seen:
-            seen.add(key)
-            reps.append(i)
-    return reps
 
 
 # -- cleaning game -----------------------------------------------------------
@@ -187,7 +166,6 @@ def solve_cleaning(
     stop_at: Optional[int] = None,
     witness: bool = False,
     state_budget: Optional[int] = None,
-    symmetry: Optional[bool] = None,
 ) -> CleanSolve:
     """Exhaustive reachability over the cleaning game for k searchers with
     sight radius l.
@@ -225,17 +203,12 @@ def solve_cleaning(
     states = 0
     frontier = []
 
-    for ci in _initial_reps(g, cfgs, symmetry):
-        gas0 = full & ~sights[ci]
-        key = ci << n | gas0
+    for ci, s in enumerate(sights):
+        gas0 = full & ~s
+        key = ci << n | gas0     # distinct per placement, so never seen yet
         if use_bitmap:
-            b, bit = key >> 3, 1 << (key & 7)
-            if visited[b] & bit:
-                continue
-            visited[b] |= bit
+            visited[key >> 3] |= 1 << (key & 7)
         else:
-            if key in visited:
-                continue
             visited.add(key)
         states += 1
         if parents is not None:
@@ -413,10 +386,9 @@ def inference_number(g: Graph, l: int, r: int, witness: bool = False,
 
 
 def max_clean(g: Graph, k: int, l: int, witness: bool = False,
-              state_budget: Optional[int] = None, symmetry: Optional[bool] = None) -> CleanSolve:
+              state_budget: Optional[int] = None) -> CleanSolve:
     """Most vertices k searchers with sight l can have simultaneously clean."""
-    return solve_cleaning(g, k, l, stop_at=None, witness=witness,
-                          state_budget=state_budget, symmetry=symmetry)
+    return solve_cleaning(g, k, l, stop_at=None, witness=witness, state_budget=state_budget)
 
 
 # -- perfect-information pursuit ----------------------------------------------
@@ -430,6 +402,62 @@ class PursuitResult:
     capture_time: Optional[int]
     placement: Optional[tuple[int, ...]]
     states: int
+
+
+def _pursuit_attractor(n: int, rows, zones, succs):
+    """Backward induction for pursuers that must bring the evader into their
+    zone.  State ids are ``c * n + r`` for config rank c and evader vertex r
+    outside ``zones[c]``.
+
+    Returns ``(wc, wr)``: for pursuer-to-move and evader-to-move states, the
+    number of pursuer rounds the pursuers need to force capture, or NONE
+    where the evader escapes forever.  Staying put is always safe for the
+    evader, so captures happen only on pursuer moves.
+    """
+    full = (1 << n) - 1
+    size = len(zones) * n
+    wc = [NONE] * size
+    wr = [NONE] * size
+    rob_counter = [0] * size
+    buckets: dict[int, list[tuple[int, int]]] = {}
+
+    # seed: pursuer states with a capturing move are won in one round
+    for c, zc in enumerate(zones):
+        can_capture = 0  # evader positions hit by some successor zone
+        for c2 in succs[c]:
+            can_capture |= zones[c2]
+        for r in _mask_bits(full & ~zc):
+            sid = c * n + r
+            rob_counter[sid] = ((rows[r] | (1 << r)) & ~zc).bit_count()
+            if can_capture >> r & 1:
+                wc[sid] = 1
+                buckets.setdefault(1, []).append((0, sid))
+
+    while buckets:
+        val = min(buckets)
+        for kind, sid in buckets.pop(val):
+            c, r = divmod(sid, n)
+            if kind == 0:
+                # resolved pursuer state: an option of the evader states
+                # (same c) next to r, resolved once all their options are
+                for r0 in _mask_bits((rows[r] | (1 << r)) & ~zones[c]):
+                    psid = c * n + r0
+                    if wr[psid] != NONE:
+                        continue
+                    rob_counter[psid] -= 1
+                    if rob_counter[psid] == 0:
+                        wr[psid] = val
+                        buckets.setdefault(val, []).append((1, psid))
+            else:
+                # resolved evader state: pursuer states moving into c win
+                for c0 in succs[c]:
+                    if zones[c0] >> r & 1:
+                        continue
+                    psid = c0 * n + r
+                    if wc[psid] == NONE:
+                        wc[psid] = val + 1
+                        buckets.setdefault(val + 1, []).append((0, psid))
+    return wc, wr
 
 
 def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None) -> PursuitResult:
@@ -449,103 +477,19 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    rows = g.bit_rows
-
-    ball = []
-    for v in range(n):
-        dist = g.bfs_dist(v)
-        m = 0
-        for w, d in enumerate(dist):
-            if 0 <= d <= rho:
-                m |= 1 << w
-        ball.append(m)
-
-    cfgs, _, _, succs = _config_tables(g, k, 0)
-    zones = []
-    for cfg in cfgs:
-        z = 0
-        for v in cfg:
-            z |= ball[v]
-        zones.append(z)
+    cfgs, _, zones, succs = _config_tables(g, k, rho)
     nc = len(cfgs)
     if 2 * nc * n > budget:
         raise TooLargeError(f"pursuit space 2*{nc}*{n} exceeds budget {budget}", partial=None)
-
-    # state ids: cop-to-move (c, r) -> c*n + r, evader-to-move offset by nc*n
-    NONE = -1
-    wc = [NONE] * (nc * n)
-    wr = [NONE] * (nc * n)
-    rob_counter = [0] * (nc * n)
-    opts_mask = [0] * (nc * n)
-
-    buckets: dict[int, list[tuple[int, int]]] = {}
-
-    def push(val, kind, sid):
-        buckets.setdefault(val, []).append((kind, sid))
-
-    # seed: capturing moves give cop-states value 1
-    for c in range(nc):
-        zc = zones[c]
-        can_capture = 0  # evader positions hit by some successor zone
-        for c2 in succs[c]:
-            can_capture |= zones[c2]
-        alive = full & ~zc
-        for r in _bits(alive):
-            sid = c * n + r
-            m = (rows[r] | (1 << r)) & ~zc
-            opts_mask[sid] = m
-            rob_counter[sid] = m.bit_count()
-            if can_capture >> r & 1:
-                wc[sid] = 1
-                push(1, 0, sid)
-
-    processed = 0
-    val = 0
-    while buckets:
-        val = min(buckets)
-        batch = buckets.pop(val)
-        for kind, sid in batch:
-            processed += 1
-            c, r = divmod(sid, n)
-            if kind == 0:
-                # resolved cop-state: feed evader-state predecessors (same c)
-                for r0 in _bits((rows[r] | (1 << r)) & ~zones[c]):
-                    psid = c * n + r0
-                    if wr[psid] != NONE:
-                        continue
-                    if not (opts_mask[psid] >> r & 1):
-                        continue
-                    rob_counter[psid] -= 1
-                    if rob_counter[psid] == 0:
-                        wr[psid] = val
-                        push(val, 1, psid)
-            else:
-                # resolved evader-state: cop-state predecessors move into c
-                for c0 in succs[c]:
-                    if zones[c0] >> r & 1:
-                        continue
-                    psid = c0 * n + r
-                    if wc[psid] == NONE:
-                        wc[psid] = val + 1
-                        push(val + 1, 0, psid)
+    wc, _ = _pursuit_attractor(n, g.bit_rows, zones, succs)
 
     best = None
     best_cfg = None
     for c in range(nc):
-        safe = full & ~zones[c]
-        if safe == 0:
-            cand = 0
-        else:
-            cand = 0
-            ok = True
-            for r in _bits(safe):
-                v = wc[c * n + r]
-                if v == NONE:
-                    ok = False
-                    break
-                cand = max(cand, v)
-            if not ok:
-                continue
+        times = [wc[c * n + r] for r in _mask_bits(full & ~zones[c])]
+        if NONE in times:
+            continue
+        cand = max(times, default=0)
         if best is None or cand < best:
             best = cand
             best_cfg = cfgs[c]
@@ -588,7 +532,6 @@ def limited_capture_solve(
     l: int,
     observe_after_cop_move: bool = True,
     state_budget: Optional[int] = None,
-    symmetry: Optional[bool] = None,
 ) -> LimitedCaptureResult:
     """Capture with sight radius l: the searchers only know the set of
     vertices the evader could occupy, refined by sightings.
@@ -656,12 +599,10 @@ def limited_capture_solve(
             stack.append(sid)
         return sid
 
-    init_by_cfg = {}
-    for ci in _initial_reps(g, cfgs, symmetry):
-        s = sights[ci]
-        o = occ[ci]
-        pieces = split(full & ~o, s)
-        init_by_cfg[ci] = [intern(ci, p) for p in pieces]
+    init_pieces = [
+        [intern(ci, p) for p in split(full & ~occ[ci], sights[ci])]
+        for ci in range(len(cfgs))
+    ]
 
     while stack:
         sid = stack.pop()
@@ -686,44 +627,18 @@ def limited_capture_solve(
 
     nstates = len(id_state)
 
-    # least fixpoint: state wins iff some move has all branches winning
-    counters = []
+    # least fixpoint with round counts: a state wins iff some move has all
+    # branches winning; buckets resolve states in increasing round count
     rev: list[list[tuple[int, int]]] = [[] for _ in range(nstates)]
-    for sid in range(nstates):
-        cnts = []
-        for mi, branch in enumerate(moves_of[sid]):
-            cnts.append(len(branch))
+    counters = []
+    mtime = [NONE] * nstates
+    buckets: dict[int, list[int]] = {}
+    for sid, mvs in enumerate(moves_of):
+        counters.append([len(branch) for branch in mvs])
+        for mi, branch in enumerate(mvs):
             for b in branch:
                 rev[b].append((sid, mi))
-        counters.append(cnts)
-
-    win_via = [-1] * nstates      # winning move index, -1 unknown
-    queue = []
-    for sid in range(nstates):
-        for mi, cnt in enumerate(counters[sid]):
-            if cnt == 0:
-                win_via[sid] = mi
-                queue.append(sid)
-                break
-    qi = 0
-    while qi < len(queue):
-        sid = queue[qi]
-        qi += 1
-        for psid, mi in rev[sid]:
-            if win_via[psid] != -1:
-                continue
-            counters[psid][mi] -= 1
-            if counters[psid][mi] == 0:
-                win_via[psid] = mi
-                queue.append(psid)
-
-    # minimax round counts on the winning region, buckets in increasing value
-    NONE = -1
-    mtime = [NONE] * nstates
-    mv_counters = [[len(b) for b in moves_of[sid]] for sid in range(nstates)]
-    buckets: dict[int, list[int]] = {}
-    for sid in range(nstates):
-        if any(cnt == 0 for cnt in mv_counters[sid]):
+        if any(not branch for branch in mvs):
             mtime[sid] = 1
             buckets.setdefault(1, []).append(sid)
     while buckets:
@@ -732,25 +647,23 @@ def limited_capture_solve(
             for psid, mi in rev[sid]:
                 if mtime[psid] != NONE:
                     continue
-                mv_counters[psid][mi] -= 1
-                if mv_counters[psid][mi] == 0:
+                counters[psid][mi] -= 1
+                if counters[psid][mi] == 0:
                     mtime[psid] = val + 1
                     buckets.setdefault(val + 1, []).append(psid)
 
     best_time = None
     best_cfg = None
-    win = False
-    for ci, pieces in init_by_cfg.items():
-        if all(win_via[p] != -1 for p in pieces):
-            win = True
-            if any(mtime[p] == NONE for p in pieces):
-                continue
-            t = max((mtime[p] for p in pieces), default=0)
-            if best_time is None or t < best_time:
-                best_time = t
-                best_cfg = cfgs[ci]
+    for ci, pieces in enumerate(init_pieces):
+        times = [mtime[p] for p in pieces]
+        if NONE in times:
+            continue
+        t = max(times, default=0)
+        if best_time is None or t < best_time:
+            best_time = t
+            best_cfg = cfgs[ci]
     return LimitedCaptureResult(
-        k=k, l=l, capture=win, capture_time=best_time,
+        k=k, l=l, capture=best_time is not None, capture_time=best_time,
         placement=best_cfg, states=nstates,
     )
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadParamError, ConvergenceError, TooLargeError
-from .graphs import Graph
+from .graphs import Graph, _mask_bits
 from .solvers import (
-    _bits,
+    NONE,
     _budget,
     _check_game_graph,
     _config_tables,
+    _pursuit_attractor,
     _PURSUIT_MAX_N,
     limited_capture_solve,
 )
@@ -93,23 +94,10 @@ class _RandomPursuit:
         rows = g.bit_rows
         self.rows = rows
 
-        ball = []
-        for v in range(n):
-            dist = g.bfs_dist(v)
-            m = 0
-            for w, d in enumerate(dist):
-                if 0 <= d <= rho:
-                    m |= 1 << w
-            ball.append(m)
-        cfgs, rank, _, succs = _config_tables(g, k, 0)
+        cfgs, rank, zones, succs = _config_tables(g, k, rho)
         self.cfgs = cfgs
         self.succs = succs
-        self.zones = []
-        for cfg in cfgs:
-            z = 0
-            for v in cfg:
-                z |= ball[v]
-            self.zones.append(z)
+        self.zones = zones
         self.nc = len(cfgs)
         if 2 * self.nc * n > budget:
             raise TooLargeError(
@@ -126,7 +114,7 @@ class _RandomPursuit:
                 self.move_dist.append([(c2, p) for c2 in opts])
             else:
                 acc: dict[int, float] = {}
-                opt_lists = [_bits(closed[v]) for v in cfg]
+                opt_lists = [_mask_bits(closed[v]) for v in cfg]
                 base = 1.0
                 for ol in opt_lists:
                     base /= len(ol)
@@ -143,49 +131,11 @@ class _RandomPursuit:
     def _compute_sure_capture_region(self):
         n, nc = self.n, self.nc
         zones, succs, rows = self.zones, self.succs, self.rows
-        NONE = -1
 
         # attractor for adversarial searchers (can they force capture?)
-        cop_win = [False] * (nc * n)   # searcher-to-move states
-        rob_win = [False] * (nc * n)   # evader-to-move states
-        rob_cnt = [0] * (nc * n)
-        queue = []
-        for c in range(nc):
-            zc = zones[c]
-            cap = 0
-            for c2 in succs[c]:
-                cap |= zones[c2]
-            alive = self.full & ~zc
-            for r in _bits(alive):
-                sid = c * n + r
-                rob_cnt[sid] = ((rows[r] | (1 << r)) & ~zc).bit_count()
-                if cap >> r & 1:
-                    cop_win[sid] = True
-                    queue.append((0, sid))
-        qi = 0
-        while qi < len(queue):
-            kind, sid = queue[qi]
-            qi += 1
-            c, r = divmod(sid, n)
-            if kind == 0:
-                # searcher-to-move state became winning: it is an option of
-                # evader states (c, r0) for r0 around r
-                for r0 in _bits((rows[r] | (1 << r)) & ~zones[c]):
-                    psid = c * n + r0
-                    if rob_win[psid]:
-                        continue
-                    rob_cnt[psid] -= 1
-                    if rob_cnt[psid] == 0:
-                        rob_win[psid] = True
-                        queue.append((1, psid))
-            else:
-                for c0 in succs[c]:
-                    if zones[c0] >> r & 1:
-                        continue
-                    psid = c0 * n + r
-                    if not cop_win[psid]:
-                        cop_win[psid] = True
-                        queue.append((0, psid))
+        wc, wr = _pursuit_attractor(n, rows, zones, succs)
+        cop_win = [v != NONE for v in wc]   # searcher-to-move states
+        rob_win = [v != NONE for v in wr]   # evader-to-move states
 
         # states from which the evader reaches the evasion region with
         # positive probability (every searcher move has positive probability)
@@ -194,7 +144,7 @@ class _RandomPursuit:
         stack = []
         for c in range(nc):
             alive = self.full & ~zones[c]
-            for r in _bits(alive):
+            for r in _mask_bits(alive):
                 sid = c * n + r
                 if not cop_win[sid]:
                     esc_c[sid] = True
@@ -207,7 +157,7 @@ class _RandomPursuit:
             c, r = divmod(sid, n)
             if kind == 0:
                 # searcher state is escapable: evader states offering it too
-                for r0 in _bits((rows[r] | (1 << r)) & ~zones[c]):
+                for r0 in _mask_bits((rows[r] | (1 << r)) & ~zones[c]):
                     psid = c * n + r0
                     if not esc_r[psid]:
                         esc_r[psid] = True
@@ -236,7 +186,7 @@ class _RandomPursuit:
         wc = [0.0 if f else inf for f in self.finite_c]
         alive_list = []
         for c in range(nc):
-            for r in _bits(self.full & ~zones[c]):
+            for r in _mask_bits(self.full & ~zones[c]):
                 sid = c * n + r
                 if self.finite_c[sid]:
                     alive_list.append((c, r, sid))
@@ -256,7 +206,7 @@ class _RandomPursuit:
                         continue
                     # evader's best reply after this searcher outcome
                     best = 0.0
-                    for r2 in _bits((rows[r] | (1 << r)) & ~zones[c2]):
+                    for r2 in _mask_bits((rows[r] | (1 << r)) & ~zones[c2]):
                         v = wc[c2 * n + r2]
                         if v > best:
                             best = v
@@ -272,7 +222,7 @@ class _RandomPursuit:
         safe = self.full & ~self.zones[c]
         if safe == 0:
             return 0.0
-        return max(wc[c * self.n + r] for r in _bits(safe))
+        return max(wc[c * self.n + r] for r in _mask_bits(safe))
 
 
 def expected_time(
@@ -405,6 +355,8 @@ def monte_carlo(
         raise BadParamError("need at least one trial")
     if placement not in PLACEMENTS:
         raise BadParamError(f"placement must be one of {PLACEMENTS}")
+    if horizon is not None and horizon < 1:
+        raise BadParamError("horizon must be at least one round")
     chain = _RandomPursuit(g, k, rho, move_model, state_budget=state_budget)
     wc, _, _ = chain.value_iteration()
     n, nc = chain.n, chain.nc
@@ -412,7 +364,7 @@ def monte_carlo(
         horizon = 10 * n * n
     rows, zones = chain.rows, chain.zones
     rank_of = {cfg: i for i, cfg in enumerate(chain.cfgs)}
-    closed_opts = [_bits(rows[v] | (1 << v)) for v in range(n)]
+    closed_opts = [_mask_bits(rows[v] | (1 << v)) for v in range(n)]
 
     if placement == "optimal":
         best = math.inf
@@ -454,7 +406,7 @@ def monte_carlo(
             c = fixed_c
         else:
             c = rank_of[tuple(sorted(rng.randrange(n) for _ in range(k)))]
-        safe = _bits(chain.full & ~zones[c])
+        safe = _mask_bits(chain.full & ~zones[c])
         if not safe:
             captured += 1
             times.append(0)
@@ -472,7 +424,7 @@ def monte_carlo(
             if zones[c] >> r & 1:
                 caught = True
                 break
-            opts = _bits((rows[r] | (1 << r)) & ~zones[c])
+            opts = _mask_bits((rows[r] | (1 << r)) & ~zones[c])
             r = evader_pick(c, opts)
         if caught:
             captured += 1

@@ -187,3 +187,32 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["value"] == 2
+
+
+def test_unreadable_input_file_exit_code(tmp_path, capsys):
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(b"\xff\xfe\n")
+    for path in (str(tmp_path / "missing.g6"), str(binary)):
+        for flag in ("--in", "--edges"):
+            code, out, err = run(capsys, "metrics", flag, path)
+            assert code == 2
+            assert out == ""
+            d = json.loads(err)
+            assert d["error"] == "BAD_PARAM" and path in d["message"]
+
+
+def test_state_budget_env_must_be_positive_integer(capsys, monkeypatch):
+    for value in ("abc", "0", "-4"):
+        monkeypatch.setenv("COPCLEAN_STATE_BUDGET", value)
+        code, _, err = run(capsys, "solve", "maxclean", "--family", "cycle:6",
+                           "--k", "1", "--l", "1")
+        assert code == 2, value
+        assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+def test_mc_rejects_zero_horizon(capsys):
+    code, out, err = run(capsys, "mc", "--family", "cycle:5", "--k", "2",
+                         "--horizon", "0", "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"

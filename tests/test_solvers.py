@@ -74,15 +74,6 @@ def test_cleanable_iff_zero_gas(small_connected):
             assert run_script(g, script).fully_cleaned_at is not None
 
 
-def test_symmetry_reduction_agrees():
-    for n in range(3, 7):
-        for g in enumerate_connected(n):
-            for k in (1, 2):
-                a = max_clean(g, k, 1, symmetry=True)
-                b = max_clean(g, k, 1, symmetry=False)
-                assert (a.max_clean, a.min_gas) == (b.max_clean, b.min_gas)
-
-
 def test_witness_replays_to_claimed_minimum(small_connected):
     for g in small_connected:
         for k in (1, 2):
@@ -117,7 +108,7 @@ def test_single_searcher_lower_bound():
 def test_state_budget_partial():
     g = cycle(12)
     with pytest.raises(TooLargeError) as e:
-        solve_cleaning(g, 2, 1, state_budget=30, symmetry=False)
+        solve_cleaning(g, 2, 1, state_budget=30)
     partial = e.value.partial
     assert partial is not None and partial.capped
     # a certified lower bound, never an overclaim

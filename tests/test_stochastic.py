@@ -108,3 +108,9 @@ def test_monte_carlo_escape_hits_horizon():
 def test_monte_carlo_respects_horizon_override():
     mc = monte_carlo(path(4), 1, 0, trials=100, seed=2, horizon=3)
     assert mc.horizon == 3
+
+
+def test_monte_carlo_rejects_short_horizon():
+    for horizon in (0, -3):
+        with pytest.raises(BadParamError):
+            monte_carlo(path(4), 1, 0, trials=10, seed=2, horizon=horizon)
