@@ -214,6 +214,40 @@ def _blocked_types(cg: ConstructionGraph, evader: int, searcher: int, searcher_a
     return out
 
 
+_CHUNK = 1 << 16   # pairs per kernel step
+
+
+def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.ndarray) -> np.ndarray:
+    """len(_blocked_types(cg, ev, se, ...)) for every pair at once.
+
+    A type q of an evader (i, a) is blocked when the searcher's closed row
+    holds a vertex (j, (a + 2^q) mod 2^m) with j != i and j < blocks, which
+    is exactly "the searcher occupies or is adjacent to a landing vertex"."""
+    outside = cg.blocks << cg.m
+    closed = cg.graph.closed_rows(outside)
+    mask = (1 << cg.m) - 1
+    width = max(len(cls) for cls in cg.partition)
+    # steps[i, t] = 2^q for the t-th type of block i; -1 pads short classes
+    steps = np.full((cg.blocks, width), -1, dtype=np.int64)
+    for i, cls in enumerate(cg.partition):
+        steps[i, :len(cls)] = [1 << q for q in cls]
+    counts = np.empty(len(evaders), dtype=np.int32)
+    for lo in range(0, len(evaders), _CHUNK):
+        ev = evaders[lo:lo + _CHUNK]
+        i = ev >> cg.m
+        a = ev & mask
+        row = closed[searchers[lo:lo + _CHUNK]]
+        # residues of the row's vertices in another outside block; -1 else
+        other = (row >= 0) & (row < outside) & ((row >> cg.m) != i[:, None])
+        row = np.where(other, row & mask, -1)
+        n = np.zeros(len(ev), dtype=np.int32)
+        for step in steps[i].T:
+            c = np.where(step < 0, -2, (a + step) & mask)
+            n += (row == c[:, None]).any(1)
+        counts[lo:lo + _CHUNK] = n
+    return counts
+
+
 def check_blocking(
     cg: ConstructionGraph,
     mode: str = "exhaustive",
@@ -224,65 +258,62 @@ def check_blocking(
     """Verify the one-type-per-searcher interference property over ordered
     pairs of distinct outside vertices.
 
+    Both modes list (evader, searcher) pairs and hand them to one numpy
+    kernel, which counts the blocked types of every pair from the built
+    graph's adjacency.  The first ``max_violations`` pairs that block more
+    than one type are re-judged by ``_blocked_types``, the per-pair
+    reference, in the order the pairs were listed.
+
     Exhaustive mode walks translation classes: shifting every residue by a
     constant is an automorphism (all edges depend on residue differences
     only), so pinning the evader's residue at 0 covers every pair; the
     reported pair count is the full ordered total.  Sampled mode draws
-    seeded random pairs and checks them directly.
+    ``samples`` seeded random pairs (at least one) and checks them directly.
     """
-    g = cg.graph
     outside = cg.blocks << cg.m
-    total_pairs = outside * (outside - 1)
-    max_blocked = 0
-    violations = []
-
-    def record(ev, se, types):
-        nonlocal max_blocked
-        if len(types) > max_blocked:
-            max_blocked = len(types)
-        if len(types) > 1 and len(violations) < max_violations:
-            violations.append({
-                "evader": [cg.block_of(ev), cg.residue_of(ev)],
-                "searcher": [cg.block_of(se), cg.residue_of(se)],
-                "delta": (cg.residue_of(se) - cg.residue_of(ev)) & ((1 << cg.m) - 1),
-                "types": types,
-            })
-
     if mode == "exhaustive":
-        size = 1 << cg.m
-        for j in range(cg.blocks):
-            for delta in range(size):
-                se = cg.vertex_id(j, delta)
-                adj = set(g.neighbors(se))
-                for i in range(cg.blocks):
-                    if i == j and delta == 0:
-                        continue
-                    ev = cg.vertex_id(i, 0)
-                    record(ev, se, _blocked_types(cg, ev, se, adj))
-        return BlockingReport(
-            mode=mode, checked_pairs=total_pairs, max_blocked=max_blocked,
-            passed=max_blocked <= 1, violations=violations,
-        )
-    if mode == "sampled":
+        # walk order: searcher block j, searcher residue delta, evader block i
+        nb, size = cg.blocks, 1 << cg.m
+        searchers = np.repeat(np.arange(nb * size, dtype=np.int64), nb)
+        evaders = np.tile(np.arange(nb, dtype=np.int64) << cg.m, nb * size)
+        keep = searchers != evaders
+        evaders, searchers = evaders[keep], searchers[keep]
+        checked, extra = outside * (outside - 1), {}
+    elif mode == "sampled":
+        if samples < 1:
+            raise BadParamError("sampled blocking check needs samples >= 1")
         rng = random.Random(seed)
-        adj_cache: dict[int, set] = {}
+        draw = rng.randrange
+        ev_list, se_list = [], []
         for _ in range(samples):
-            ev = rng.randrange(outside)
-            se = rng.randrange(outside)
+            ev = draw(outside)
+            se = draw(outside)
             while se == ev:
-                se = rng.randrange(outside)
-            adj = adj_cache.get(se)
-            if adj is None:
-                adj = set(g.neighbors(se))
-                if len(adj_cache) < 200_000:
-                    adj_cache[se] = adj
-            record(ev, se, _blocked_types(cg, ev, se, adj))
-        return BlockingReport(
-            mode=mode, checked_pairs=samples, max_blocked=max_blocked,
-            passed=max_blocked <= 1, violations=violations,
-            samples=samples, seed=seed,
-        )
-    raise BadParamError("mode must be 'exhaustive' or 'sampled'")
+                se = draw(outside)
+            ev_list.append(ev)
+            se_list.append(se)
+        evaders = np.array(ev_list, dtype=np.int64)
+        searchers = np.array(se_list, dtype=np.int64)
+        checked, extra = samples, {"samples": samples, "seed": seed}
+    else:
+        raise BadParamError("mode must be 'exhaustive' or 'sampled'")
+
+    counts = _blocked_counts(cg, evaders, searchers)
+    max_blocked = int(counts.max())
+    violations = []
+    mask = (1 << cg.m) - 1
+    for p in np.flatnonzero(counts > 1)[:max_violations].tolist():
+        ev, se = int(evaders[p]), int(searchers[p])
+        violations.append({
+            "evader": [cg.block_of(ev), cg.residue_of(ev)],
+            "searcher": [cg.block_of(se), cg.residue_of(se)],
+            "delta": (cg.residue_of(se) - cg.residue_of(ev)) & mask,
+            "types": _blocked_types(cg, ev, se, set(cg.graph.neighbors(se))),
+        })
+    return BlockingReport(
+        mode=mode, checked_pairs=checked, max_blocked=max_blocked,
+        passed=max_blocked <= 1, violations=violations, **extra,
+    )
 
 
 def check_middle_dominating(cg: ConstructionGraph) -> bool:

@@ -130,6 +130,25 @@ class Graph:
             return sum(r.bit_count() for r in self._rows) // 2
         return len(self._nbrs) // 2
 
+    def closed_rows(self, count: int) -> np.ndarray:
+        """Row v (v < count) holds v and then its neighbours ascending, as
+        an int32 matrix padded with -1 to the widest row."""
+        if self._rows is not None:
+            lists = [self.neighbors(v) for v in range(count)]
+            indptr = np.cumsum([0] + [len(x) for x in lists])
+            nbrs = np.array([w for x in lists for w in x], dtype=np.int32)
+        else:
+            indptr, nbrs = self._indptr, self._nbrs
+        lo = indptr[:count]
+        deg = indptr[1:count + 1] - lo
+        width = int(deg.max())
+        out = np.full((count, 1 + width), -1, dtype=np.int32)
+        out[:, 0] = np.arange(count, dtype=np.int32)
+        for col in range(width):
+            has = np.flatnonzero(deg > col)
+            out[has, 1 + col] = nbrs[lo[has] + col]
+        return out
+
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.neighbors(u):

@@ -53,7 +53,7 @@ class ExpectedTimeResult:
     placement_policy: str
     value: float                     # math.inf when capture is not a.s.
     placement: Optional[tuple[int, ...]]
-    residual: float
+    residual: float                  # last sweep's largest change, not an error bound
     iterations: int
     states: int
 
@@ -179,17 +179,25 @@ class _RandomPursuit:
 
     def value_iteration(self, tol=_VI_TOL):
         """Expected rounds to capture from searcher-to-move states (inf
-        outside the almost-sure region), by monotone iteration from zero."""
+        outside the almost-sure region), by monotone Gauss-Seidel iteration
+        from zero.  The returned residual is the largest change in the last
+        sweep, not a bound on the distance to the fixed point."""
         n, nc = self.n, self.nc
         zones, rows = self.zones, self.rows
         inf = math.inf
         wc = [0.0 if f else inf for f in self.finite_c]
-        alive_list = []
+        # per alive state: (sid, [(p, evader reply sids), ...]) over the
+        # searcher outcomes that do not capture
+        plan = []
         for c in range(nc):
             for r in _mask_bits(self.full & ~zones[c]):
                 sid = c * n + r
                 if self.finite_c[sid]:
-                    alive_list.append((c, r, sid))
+                    closed_r = rows[r] | (1 << r)
+                    plan.append((sid, [
+                        (p, [c2 * n + r2 for r2 in _mask_bits(closed_r & ~zones[c2])])
+                        for c2, p in self.move_dist[c] if not zones[c2] >> r & 1
+                    ]))
         residual = inf
         iters = 0
         while residual > tol:
@@ -199,15 +207,13 @@ class _RandomPursuit:
                     f"value iteration stuck above tol={tol}", residual=residual
                 )
             residual = 0.0
-            for c, r, sid in alive_list:
+            for sid, outcomes in plan:
                 total = 1.0
-                for c2, p in self.move_dist[c]:
-                    if zones[c2] >> r & 1:
-                        continue
+                for p, replies in outcomes:
                     # evader's best reply after this searcher outcome
                     best = 0.0
-                    for r2 in _mask_bits((rows[r] | (1 << r)) & ~zones[c2]):
-                        v = wc[c2 * n + r2]
+                    for s2 in replies:
+                        v = wc[s2]
                         if v > best:
                             best = v
                     total += p * best
@@ -238,11 +244,14 @@ def expected_time(
     """Expected number of searcher rounds until capture.
 
     mode "random": searchers move randomly (see module docstring), the
-    evader is an optimal adversary, and the value is exact up to the value
-    iteration tolerance.  mode "belief": searchers play the optimal
-    limited-sight capture strategy (sight radius ``l``), which is
-    deterministic, so the value is the worst-case round count; only
-    rho=0 and optimal placement are supported there.
+    evader is an optimal adversary, and the value comes from Gauss-Seidel
+    value iteration, which stops once a sweep changes no value by more than
+    1e-12.  ``residual`` is that last sweep's largest change, not a bound on
+    the error: on C5 with k=2 it stops at 5.335714285712634 against the
+    exact 747/140 = 5.335714285714286.  mode "belief": searchers play the
+    optimal limited-sight capture strategy (sight radius ``l``), which is
+    deterministic, so the value is the worst-case round count; only rho=0
+    and optimal placement are supported there.
     """
     if mode not in MODES:
         raise BadParamError(f"mode must be one of {MODES}")

@@ -131,6 +131,16 @@ def test_construct_adversarial_fails(capsys):
     assert d["blocking"]["passed"] is False and d["blocking"]["max_blocked"] == 2
 
 
+def test_blocking_samples_must_be_positive(capsys):
+    for argv in (("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", "0"),
+                 ("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", "-5"),
+                 ("verify", "--suite", "construction", "--samples", "-3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "BAD_PARAM"
+
+
 def test_construct_rejects_bad_spacing(capsys):
     code, _, err = run(capsys, "construct", "--k", "2", "--m", "8",
                        "--partition", "0,2;1,5;3,6;4,7")

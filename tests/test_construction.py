@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from copclean.cleaning import run_script
 from copclean.construction import (
     ConstructionSpec,
+    _blocked_counts,
+    _blocked_types,
     build_construction,
     check_blocking,
     check_middle_dominating,
@@ -107,17 +110,21 @@ def test_blocking_exhaustive_default_partition():
 
 
 def test_blocking_matches_literal_recount_small():
-    # full literal pass over every ordered pair at m=4, no translation trick
-    cg = build(k=2, m=4)
-    outside = 4 * 16
-    worst = 0
-    for ev in range(outside):
-        for se in range(outside):
-            if ev != se:
-                worst = max(worst, len(blocked_types_literal(cg, ev, se)))
-    rep = check_blocking(cg, mode="exhaustive")
-    assert rep.max_blocked == worst
-    assert rep.passed == (worst <= 1)
+    # full literal pass over every ordered pair, no translation trick; the
+    # kernel's per-pair counts must agree too.  k=1 graphs are stored as bit
+    # rows, k=2, m=4 (68 vertices) as CSR.  No spaced 2-class partition of 4
+    # positions exists, so k=1, m=4 is built with bad spacing.
+    for k, m, allow_bad, n in ((1, 2, False, 10), (1, 4, True, 34), (2, 4, False, 68)):
+        cg = build(k=k, m=m, allow_bad=allow_bad)
+        assert cg.graph.n == n
+        outside = cg.blocks << cg.m
+        pairs = [(ev, se) for ev in range(outside) for se in range(outside) if ev != se]
+        literal = [len(blocked_types_literal(cg, ev, se)) for ev, se in pairs]
+        ev, se = np.array(pairs, dtype=np.int64).T
+        assert _blocked_counts(cg, ev, se).tolist() == literal
+        rep = check_blocking(cg, mode="exhaustive")
+        assert rep.max_blocked == max(literal)
+        assert rep.passed == (max(literal) <= 1)
 
 
 def test_blocking_translation_invariance():
@@ -159,6 +166,47 @@ def test_blocking_sampled_deterministic():
     assert a.passed and a.checked_pairs == 2000
     with pytest.raises(BadParamError):
         check_blocking(cg, mode="quick")
+
+
+def sampled_recount(cg, samples, seed, max_violations=5):
+    """The sampled check done pair by pair with ``_blocked_types``."""
+    rng = random.Random(seed)
+    outside = cg.blocks << cg.m
+    mask = (1 << cg.m) - 1
+    worst, violations = 0, []
+    for _ in range(samples):
+        ev = rng.randrange(outside)
+        se = rng.randrange(outside)
+        while se == ev:
+            se = rng.randrange(outside)
+        types = _blocked_types(cg, ev, se, set(cg.graph.neighbors(se)))
+        worst = max(worst, len(types))
+        if len(types) > 1 and len(violations) < max_violations:
+            violations.append({
+                "evader": [cg.block_of(ev), cg.residue_of(ev)],
+                "searcher": [cg.block_of(se), cg.residue_of(se)],
+                "delta": (cg.residue_of(se) - cg.residue_of(ev)) & mask,
+                "types": types,
+            })
+    return {"mode": "sampled", "checked_pairs": samples, "max_blocked": worst,
+            "passed": worst <= 1, "violations": violations,
+            "samples": samples, "seed": seed}
+
+
+def test_blocking_sampled_matches_pairwise_recount():
+    # the second partition has classes of unequal size
+    for partition in (ADVERSARIAL, ((0, 3, 5), (7,), (1, 4), (2, 6))):
+        cg = build(k=2, m=8, partition=partition, allow_bad=True)
+        rep = check_blocking(cg, mode="sampled", samples=20_000, seed=4)
+        assert rep.to_dict() == sampled_recount(cg, 20_000, 4)
+        assert len(rep.violations) == 5 and not rep.passed
+
+
+def test_blocking_sampled_needs_a_sample():
+    cg = build(k=2, m=8)
+    for samples in (0, -5):
+        with pytest.raises(BadParamError):
+            check_blocking(cg, mode="sampled", samples=samples)
 
 
 def test_scripted_strategy_cleans_on_first_turn():

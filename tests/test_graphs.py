@@ -188,6 +188,18 @@ def test_big_graph_uses_sparse_rows():
     assert parse_graph6(emit_graph6(g)) == g
 
 
+def test_closed_rows_both_storages():
+    rng = random.Random(5)
+    for n in (12, 80):   # bit rows, then CSR
+        g = random_connected(n, rng)
+        rows = g.closed_rows(n - 2).tolist()
+        assert len(rows) == n - 2
+        width = 1 + max(g.degree(v) for v in range(n - 2))
+        for v, row in enumerate(rows):
+            want = [v] + g.neighbors(v)
+            assert row == want + [-1] * (width - len(want))
+
+
 @st.composite
 def graphs_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=9))

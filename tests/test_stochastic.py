@@ -26,6 +26,15 @@ def test_complete5_single_searcher_is_geometric():
     assert res.residual <= 1e-12
 
 
+def test_cycle10_value_iteration_pinned():
+    # Gauss-Seidel order fixes every bit of the stopping value and the sweep
+    # count; the fixed point, reached with tol=0 after 648 sweeps, is
+    # 33.39213708881626
+    res = expected_time(cycle(10), 2)
+    assert res.value == 33.39213708880629
+    assert res.iterations == 534
+
+
 def test_cycle4_needs_two():
     res = expected_time(cycle(4), 1)
     assert math.isinf(res.value)
