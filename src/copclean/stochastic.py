@@ -104,24 +104,38 @@ class _RandomPursuit:
                 f"chain space 2*{self.nc}*{n} exceeds budget {budget}", partial=None
             )
 
-        # move distribution per config: list of (successor rank, probability)
-        closed = [rows[v] | (1 << v) for v in range(n)]
+        # per config, one table from pick index to successor rank, and the
+        # ranges that draw that index: per_cop picks one closed-neighborhood
+        # option per searcher in config order (mixed radix, the last searcher
+        # fastest, as itertools.product runs); joint_multiset picks one
+        # successor.  move_dist, the (successor rank, probability) list,
+        # is the table's histogram, accumulated in table order.
+        closed_opts = [_mask_bits(rows[v] | (1 << v)) for v in range(n)]
+        self.rank = rank
+        self.move_table = []
+        self.move_radix = []
         self.move_dist = []
         for ci, cfg in enumerate(cfgs):
             if move_model == "joint_multiset":
-                opts = self.succs[ci]
-                p = 1.0 / len(opts)
-                self.move_dist.append([(c2, p) for c2 in opts])
+                table = succs[ci]
+                sizes = [len(table)]
             else:
-                acc: dict[int, float] = {}
-                opt_lists = [_mask_bits(closed[v]) for v in cfg]
-                base = 1.0
-                for ol in opt_lists:
-                    base /= len(ol)
-                for prod in itertools.product(*opt_lists):
-                    r2 = rank[tuple(sorted(prod))]
-                    acc[r2] = acc.get(r2, 0.0) + base
-                self.move_dist.append(sorted(acc.items()))
+                opt_lists = [closed_opts[v] for v in cfg]
+                table = [rank[tuple(sorted(prod))] for prod in itertools.product(*opt_lists)]
+                sizes = [len(ol) for ol in opt_lists]
+            base = 1.0
+            radix = []
+            stride = len(table)
+            for size in sizes:
+                base /= size
+                stride //= size
+                radix.append(range(0, size * stride, stride))
+            acc: dict[int, float] = {}
+            for r2 in table:
+                acc[r2] = acc.get(r2, 0.0) + base
+            self.move_table.append(table)
+            self.move_radix.append(radix)
+            self.move_dist.append(sorted(acc.items()))
 
         self._compute_sure_capture_region()
 
@@ -357,8 +371,15 @@ def monte_carlo(
     infinite expected time, then the largest finite value, ties to the
     lowest vertex id).
 
-    Per-trial generators are seeded as ``f"{seed}:{trial}"`` so any trial
-    can be reproduced alone.
+    Reproducibility: trial ``i`` draws from its own
+    ``random.Random(f"{seed}:{i}")``, so any trial can be reproduced alone
+    and a seed fixes the whole result.  Under uniform placement the trial
+    first draws ``randrange(n)`` once per searcher.  Each round then makes
+    one ``choice`` per searcher in configuration order over its closed
+    neighborhood ("per_cop"), or one ``choice`` over the distinct successor
+    configurations ("joint_multiset").  The greedy evader is deterministic,
+    so its replies are tabulated once per call, and a round is those draws
+    plus two table lookups.
     """
     if trials < 1:
         raise BadParamError("need at least one trial")
@@ -372,8 +393,6 @@ def monte_carlo(
     if horizon is None:
         horizon = 10 * n * n
     rows, zones = chain.rows, chain.zones
-    rank_of = {cfg: i for i, cfg in enumerate(chain.cfgs)}
-    closed_opts = [_mask_bits(rows[v] | (1 << v)) for v in range(n)]
 
     if placement == "optimal":
         best = math.inf
@@ -392,7 +411,10 @@ def monte_carlo(
     def evader_pick(c: int, options) -> int:
         # deterministic: provably safe spots first (never captured from
         # there), then positive-escape-chance spots, then the largest
-        # expected time; ties to the lowest vertex id
+        # expected time; ties to the lowest vertex id; -1 when there is
+        # no option (captured)
+        if not options:
+            return -1
         safe_opts = [r for r in options if evade_c[c * n + r]]
         if safe_opts:
             return min(safe_opts)
@@ -407,37 +429,39 @@ def monte_carlo(
                 best_r, best_v = r, v
         return best_r
 
+    # start[c]: the evader's placement against config c; reply[c*n + r]:
+    # its move from r after the searchers step to c (-1: captured)
+    start = [evader_pick(c, _mask_bits(chain.full & ~zones[c])) for c in range(nc)]
+    reply = [
+        -1 if zones[c] >> r & 1
+        else evader_pick(c, _mask_bits((rows[r] | (1 << r)) & ~zones[c]))
+        for c in range(nc) for r in range(n)
+    ]
+    table, radix = chain.move_table, chain.move_radix
+    rank = chain.rank
+
     times = []
-    captured = 0
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
         if fixed_c is not None:
             c = fixed_c
         else:
-            c = rank_of[tuple(sorted(rng.randrange(n) for _ in range(k)))]
-        safe = _mask_bits(chain.full & ~zones[c])
-        if not safe:
-            captured += 1
+            c = rank[tuple(sorted(rng.randrange(n) for _ in range(k)))]
+        r = start[c]
+        if r < 0:
             times.append(0)
             continue
-        r = evader_pick(c, safe)
-        t = 0
-        caught = False
-        while t < horizon:
-            t += 1
-            if move_model == "per_cop":
-                moved = tuple(sorted(rng.choice(closed_opts[v]) for v in chain.cfgs[c]))
-                c = rank_of[moved]
-            else:
-                c = rng.choice(chain.succs[c])
-            if zones[c] >> r & 1:
-                caught = True
+        choice = rng.choice
+        for t in range(1, horizon + 1):
+            pick = 0
+            for rg in radix[c]:
+                pick += choice(rg)
+            c = table[c][pick]
+            r = reply[c * n + r]
+            if r < 0:
+                times.append(t)
                 break
-            opts = _mask_bits((rows[r] | (1 << r)) & ~zones[c])
-            r = evader_pick(c, opts)
-        if caught:
-            captured += 1
-            times.append(t)
+    captured = len(times)
     freq = captured / trials
     if captured:
         mean = sum(times) / captured

@@ -199,6 +199,16 @@ def test_console_script_entry_point():
     assert json.loads(out.stdout)["value"] == 2
 
 
+def test_python_dash_m_copclean():
+    out = subprocess.run(
+        [sys.executable, "-m", "copclean", "mc", "--family", "complete:4",
+         "--k", "1", "--trials", "10", "--json"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["trials"] == 10
+
+
 def test_unreadable_input_file_exit_code(tmp_path, capsys):
     binary = tmp_path / "binary.g6"
     binary.write_bytes(b"\xff\xfe\n")

@@ -1,12 +1,14 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from copclean.errors import BadParamError
-from copclean.families import complete, cycle, path
+from copclean.families import complete, cycle, path, star
 from copclean.graphs import enumerate_connected
 from copclean.solvers import cop_number
-from copclean.stochastic import expected_time, monte_carlo
+from copclean.stochastic import _RandomPursuit, expected_time, monte_carlo
 
 # the four random-movement conventions on the 5-cycle with two searchers,
 # pinned from the exact value iteration
@@ -123,3 +125,56 @@ def test_monte_carlo_rejects_short_horizon():
     for horizon in (0, -3):
         with pytest.raises(BadParamError):
             monte_carlo(path(4), 1, 0, trials=10, seed=2, horizon=horizon)
+
+
+# (graph, k, rho, keyword arguments) -> (captured, mean_time, stderr); each
+# trial's stream is Random(f"{seed}:{i}"), so these figures fix every draw
+MC_STREAMS = [
+    ((cycle(5), 2, 0), dict(trials=2000, seed=7),
+     (2000, 5.034, 0.12457801507858711)),
+    ((cycle(5), 2, 0),
+     dict(trials=2000, seed=7, move_model="joint_multiset", placement="uniform"),
+     (2000, 7.263, 0.15395540469017846)),
+    ((path(6), 1, 1), dict(trials=2000, seed=3, placement="uniform"),
+     (2000, 23.7885, 0.4796044141498652)),
+    ((cycle(8), 2, 0), dict(trials=1000, seed=11, placement="uniform"),
+     (1000, 26.99, 0.7499362001559223)),
+    ((cycle(4), 1, 0), dict(trials=50, seed=5, horizon=20, placement="uniform"),
+     (0, None, None)),
+    ((star(3), 1, 0), dict(trials=500, seed=2, move_model="joint_multiset"),
+     (500, 7.992, 0.35088190066806385)),
+]
+
+
+def test_monte_carlo_stream_pinned():
+    for args, kwargs, (captured, mean, err) in MC_STREAMS:
+        res = monte_carlo(*args, **kwargs)
+        assert (res.captured, res.mean_time, res.stderr) == (captured, mean, err), kwargs
+
+
+def test_move_table_is_the_move_distribution():
+    # one enumeration per config: the pick table read through its draw
+    # ranges gives the sorted config of each searcher's closed-neighborhood
+    # choice, and move_dist is that table's histogram
+    for g, k, rho in ((cycle(5), 2, 0), (path(6), 1, 1), (complete(4), 3, 0)):
+        chain = _RandomPursuit(g, k, rho, "per_cop")
+        opts = [sorted([v] + [u for u in range(g.n) if g.bit_rows[v] >> u & 1])
+                for v in range(g.n)]
+        for c, cfg in enumerate(chain.cfgs):
+            table, radix = chain.move_table[c], chain.move_radix[c]
+            assert [len(rg) for rg in radix] == [len(opts[v]) for v in cfg]
+            for digits in itertools.product(*(range(len(rg)) for rg in radix)):
+                pick = sum(rg[d] for rg, d in zip(radix, digits))
+                moved = tuple(sorted(opts[v][d] for v, d in zip(cfg, digits)))
+                assert table[pick] == chain.rank[moved]
+            counts = Counter(table)
+            dist = chain.move_dist[c]
+            assert [c2 for c2, _ in dist] == sorted(counts)
+            for c2, p in dist:
+                assert math.isclose(p, counts[c2] / len(table), rel_tol=1e-12)
+            assert math.isclose(sum(p for _, p in dist), 1.0, rel_tol=1e-12)
+        joint = _RandomPursuit(g, k, rho, "joint_multiset")
+        for c in range(joint.nc):
+            succ = joint.succs[c]
+            assert joint.move_table[c] == succ
+            assert joint.move_dist[c] == [(c2, 1.0 / len(succ)) for c2 in succ]
