@@ -21,8 +21,9 @@ import time
 from . import construction as cons
 from . import families, solvers, stochastic
 from .cleaning import StrategyScript, run_script
-from .errors import BadParamError, CopcleanError, TooLargeError
+from .errors import BadParamError, CopcleanError, TooLargeError, UnsupportedSizeError
 from .graphs import (
+    ENUM_MAX_N,
     Graph,
     emit_graph6,
     enumerate_connected,
@@ -85,11 +86,18 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _check_enum_range(n_min: int, n_max: int, big: bool) -> None:
+    """Reject an enumeration range before anything is printed."""
+    if n_min > n_max:
+        raise BadParamError(f"--n-min {n_min} exceeds --n-max {n_max}")
+    if n_min < 1 or n_max > ENUM_MAX_N:
+        raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
+    if n_max == ENUM_MAX_N and not big:
+        raise CopcleanError(f"n={ENUM_MAX_N} enumeration takes a while; pass --big to confirm")
+
+
 def cmd_gen(args) -> int:
-    if args.n > 9 and not args.big:
-        raise CopcleanError("enumeration above n=9 is not supported; n=9 needs --big")
-    if args.n == 9 and not args.big:
-        raise CopcleanError("n=9 enumeration takes a while; pass --big to confirm")
+    _check_enum_range(args.n, args.n, args.big)
     for g in enumerate_connected(args.n):
         print(emit_graph6(g))
     return 0
@@ -334,11 +342,7 @@ def _sweep_records(check, params, n_min, n_max, jobs, timing=False):
 
 
 def cmd_sweep(args) -> int:
-    cap = 9 if args.big else 8
-    if args.n_max > cap:
-        raise CopcleanError(
-            f"sweep cap is {cap} vertices" + ("" if args.big else " (use --big for 9)")
-        )
+    _check_enum_range(args.n_min, args.n_max, args.big)
     if args.check not in SWEEP_CHECKS:
         raise CopcleanError(f"unknown check {args.check!r}; pick from {sorted(SWEEP_CHECKS)}")
     params = {"l": args.l, "k": args.k, "r": args.r, "rho": args.rho}

@@ -598,23 +598,55 @@ def rows_from_key(key: int, n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-_ENUM_MAX_N = 9
+ENUM_MAX_N = 9
 _levels_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _all_graph_keys(t: int) -> tuple[int, ...]:
-    """Canonical keys of every unlabeled graph on t vertices, sorted."""
+    """Canonical keys of every unlabeled graph on t vertices, sorted.
+
+    Each class on t-1 vertices is extended by a new vertex joined to every
+    neighbourhood ``mask``; only a child whose new vertex has the largest
+    invariant ``(degree, sorted neighbour degrees)`` is certified by
+    ``canonical_key`` (the invariant test of McKay's canonical construction
+    path).  The degree test is cheap: old vertex i has degree
+    ``deg_P(i) + (mask >> i & 1)``, so the new vertex is of maximum degree
+    iff ``popcount(mask)`` is at least every parent degree and ``mask``
+    avoids the parent vertices of degree exactly ``popcount(mask)``.
+
+    No class is lost: take a graph G and a vertex u of G with the largest
+    invariant.  The class of G-u is in level t-1; extending its
+    representative by the image of N(u) gives a child isomorphic to G whose
+    new vertex carries u's invariant, so that child passes both tests.
+    Surviving isomorphic children still meet in ``seen``.
+    """
     if t in _levels_cache:
         return _levels_cache[t]
     if t == 1:
         _levels_cache[1] = (0,)
         return _levels_cache[1]
     parents = _all_graph_keys(t - 1)
+    new = t - 1
     seen = set()
     for pkey in parents:
-        prows = rows_from_key(pkey, t - 1)
-        for mask in range(1 << (t - 1)):
-            rows = tuple(r | ((mask >> i & 1) << (t - 1)) for i, r in enumerate(prows)) + (mask,)
+        prows = rows_from_key(pkey, new)
+        pdeg = [r.bit_count() for r in prows]
+        at_deg = [0] * t  # at_deg[d]: parent vertices of degree d
+        for i, d in enumerate(pdeg):
+            at_deg[d] |= 1 << i
+        top = max(pdeg)
+        for mask in range(1 << new):
+            d = mask.bit_count()
+            if d < top or mask & at_deg[d]:
+                continue
+            rows = tuple(r | ((mask >> i & 1) << new) for i, r in enumerate(prows)) + (mask,)
+            tied = mask & at_deg[d - 1]
+            if tied:
+                deg = [r.bit_count() for r in rows]
+                mine = sorted(deg[w] for w in _mask_bits(mask))
+                if any(sorted(deg[w] for w in _mask_bits(rows[i])) > mine
+                       for i in _mask_bits(tied)):
+                    continue
             seen.add(canonical_key(rows, t))
     out = tuple(sorted(seen))
     _levels_cache[t] = out
@@ -636,8 +668,8 @@ def _rows_connected(rows: tuple[int, ...], n: int) -> bool:
 def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in canonical-certificate order (deterministic across runs)."""
-    if not 1 <= n <= _ENUM_MAX_N:
-        raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {_ENUM_MAX_N}")
+    if not 1 <= n <= ENUM_MAX_N:
+        raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
     out = []
     for key in _all_graph_keys(n):
         rows = rows_from_key(key, n)

@@ -91,6 +91,28 @@ def test_sweep_unknown_check(capsys):
     assert "nope" in err
 
 
+def test_sweep_empty_range_is_bad_param(capsys):
+    code, out, err = run(capsys, "sweep", "--n-min", "5", "--n-max", "3",
+                         "--check", "cleanable", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+def test_enumeration_size_errors_agree(capsys):
+    for argv in (("gen", "--n", "10"), ("gen", "--n", "10", "--big"),
+                 ("gen", "--n", "0"),
+                 ("sweep", "--n-max", "10", "--check", "cleanable"),
+                 ("sweep", "--n-max", "10", "--check", "cleanable", "--big"),
+                 ("sweep", "--n-min", "0", "--n-max", "3", "--check", "cleanable")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "UNSUPPORTED_SIZE", argv
+    for argv in (("gen", "--n", "9"), ("sweep", "--n-max", "9", "--check", "cleanable")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "--big" in json.loads(err)["message"], argv
+
+
 def test_clean_sim(tmp_path, capsys):
     script = tmp_path / "walk.json"
     script.write_text('{"l": 1, "place": [1], "turns": [[2]]}')

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
 from copclean.graphs import (
     Graph,
+    _all_graph_keys,
     canonical_key,
     closed_l_neighborhood,
     count_connected_classes,
@@ -164,6 +166,37 @@ def test_enumeration_is_canonical_and_connected():
         key = canonical_key(g.bit_rows, g.n)
         assert key not in seen
         seen.add(key)
+
+
+LEVEL_SHA256 = {
+    5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+    6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+    7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+}
+
+
+def test_level_keys_pinned():
+    # Every class's certificate, in order: representatives, enumeration
+    # order and every sweep's bytes rest on these levels.
+    for t, digest in LEVEL_SHA256.items():
+        keys = _all_graph_keys(t)
+        assert hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest() == digest
+    for t in range(1, 8):
+        assert len(_all_graph_keys(t)) == count_graph_classes(t)
+
+
+def test_level_keys_match_every_labelled_graph():
+    for t in range(1, 6):
+        pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        labelled = set()
+        for edges in range(1 << len(pairs)):
+            rows = [0] * t
+            for b, (i, j) in enumerate(pairs):
+                if edges >> b & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            labelled.add(canonical_key(tuple(rows), t))
+        assert _all_graph_keys(t) == tuple(sorted(labelled))
 
 
 def test_enumeration_bounds():
