@@ -86,6 +86,17 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _check_sweep_params(args) -> None:
+    """Reject negative radii and empty searcher or worker counts before
+    anything is printed."""
+    for name in ("l", "r", "rho"):
+        if getattr(args, name) < 0:
+            raise BadParamError(f"--{name} must be >= 0")
+    for name in ("k", "jobs"):
+        if getattr(args, name) < 1:
+            raise BadParamError(f"--{name} must be >= 1")
+
+
 def _check_enum_range(n_min: int, n_max: int, big: bool) -> None:
     """Reject an enumeration range before anything is printed."""
     if n_min > n_max:
@@ -343,6 +354,7 @@ def _sweep_records(check, params, n_min, n_max, jobs, timing=False):
 
 def cmd_sweep(args) -> int:
     _check_enum_range(args.n_min, args.n_max, args.big)
+    _check_sweep_params(args)
     if args.check not in SWEEP_CHECKS:
         raise CopcleanError(f"unknown check {args.check!r}; pick from {sorted(SWEEP_CHECKS)}")
     params = {"l": args.l, "k": args.k, "r": args.r, "rho": args.rho}

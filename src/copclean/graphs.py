@@ -349,6 +349,8 @@ def _bfs_target_skip_edge(g, src, dst, cap):
 
 
 def metrics(g: Graph, l: int = 1) -> GraphMetrics:
+    if l < 0:
+        raise BadParamError("sight radius must be >= 0")
     degs = [g.degree(v) for v in range(g.n)]
     max_l_deg = 0
     diam = 0

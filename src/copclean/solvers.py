@@ -5,7 +5,9 @@ Three engines share this module:
 * ``solve_cleaning`` explores the full cleaning game (searchers vs. gas) over
   packed integer states and answers see/infer/max-clean questions, with an
   optional replayable witness script.  Every searcher placement seeds the
-  search.
+  search.  The thresholds ``cleanable``, ``seeing_number`` and
+  ``inference_number`` are this search with ``stop_at`` set, one call per
+  searcher count; it is breadth first, so their witnesses are shortest plays.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
   radius, solved by backward induction over cop-move/robber-move states
   (``_pursuit_attractor``, shared with the random-searcher chain in
@@ -22,7 +24,6 @@ partial results rather than running away on oversized inputs.
 from __future__ import annotations
 
 import itertools
-import heapq
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +35,6 @@ from .graphs import Graph, _mask_bits
 _CLEAN_MAX_N = 26
 _PURSUIT_MAX_N = 64
 _DEFAULT_BUDGET = 5_000_000
-_GREEDY_POPS = 20_000
 NONE = -1   # unresolved entry of a retrograde table
 
 
@@ -282,56 +282,6 @@ def solve_cleaning(
     return result(best_gas <= stop_at if stop_at is not None else None, False)
 
 
-def _greedy_clean(g, k, l, target, witness, pops_cap=_GREEDY_POPS):
-    """Cheap best-first probe for a play reaching at most ``target`` gas.
-    Success gives a certificate (optionally a script); failure is silent and
-    callers fall back to the exhaustive search."""
-    n = g.n
-    full = (1 << n) - 1
-    rows = g.bit_rows
-    closed1 = [rows[v] | (1 << v) for v in range(n)]
-    cfgs, _, sights, succs = _config_tables(g, k, l)
-    t0, t1, t2, t3 = _nor_tables(g)
-    heap = []
-    parents = {}
-    seen = set()
-    for ci, s in enumerate(sights):
-        gas0 = full & ~s
-        pc = gas0.bit_count()
-        if pc <= target:
-            if not witness:
-                return True, None
-            return True, StrategyScript(l=l, place=cfgs[ci], turns=())
-        key = ci << n | gas0
-        if key not in seen:
-            seen.add(key)
-            parents[key] = None
-            heapq.heappush(heap, (pc, key))
-    pops = 0
-    while heap and pops < pops_cap:
-        pc, key = heapq.heappop(heap)
-        pops += 1
-        gas = key & full
-        for c2 in succs[key >> n]:
-            s2 = sights[c2]
-            gas1 = gas & ~s2
-            if gas1.bit_count() <= target:
-                if not witness:
-                    return True, None
-                return True, _witness_script(cfgs, closed1, parents, key, c2, n, l)
-            nb = (
-                t0[gas1 & 255] | t1[(gas1 >> 8) & 255]
-                | t2[(gas1 >> 16) & 255] | t3[(gas1 >> 24) & 255]
-            )
-            gas2 = gas1 | (nb & ~s2)
-            key2 = c2 << n | gas2
-            if key2 not in seen:
-                seen.add(key2)
-                parents[key2] = key
-                heapq.heappush(heap, (gas2.bit_count(), key2))
-    return False, None
-
-
 @dataclass
 class ThresholdResult:
     value: int
@@ -343,45 +293,37 @@ class ThresholdResult:
 def cleanable(g: Graph, k: int, l: int, witness: bool = False,
               state_budget: Optional[int] = None):
     """Can k searchers with sight l reach a moment with zero gas?
-    Returns (bool, script-or-None, states-explored)."""
-    if k < 1:
-        raise BadParamError("need at least one searcher")
-    _check_game_graph(g, _CLEAN_MAX_N)
-    ok, script = _greedy_clean(g, k, l, 0, witness)
-    if ok:
-        return True, script, 0
+    Returns (bool, script-or-None, states-explored).
+
+    This is ``solve_cleaning`` with ``stop_at=0``: the search is breadth
+    first, so a witness is a shortest play that cleans the graph."""
     res = solve_cleaning(g, k, l, stop_at=0, witness=witness, state_budget=state_budget)
     return bool(res.reached_stop), res.witness if res.reached_stop else None, res.states
 
 
 def seeing_number(g: Graph, l: int, witness: bool = False,
                   state_budget: Optional[int] = None) -> ThresholdResult:
-    """Fewest searchers with sight l that can fully clean the graph."""
-    total = 0
-    for k in range(1, g.n + 1):
-        ok, script, states = cleanable(g, k, l, witness=witness, state_budget=state_budget)
-        total += states
-        if ok:
-            return ThresholdResult(value=k, l=l, witness=script, states=total)
-    raise BadParamError("unreachable: n searchers always clean at placement")
+    """Fewest searchers with sight l that can fully clean the graph: the
+    inference number with r=0.  ``states`` sums the searches over every k
+    tried, and a witness is a shortest cleaning play."""
+    return inference_number(g, l, 0, witness=witness, state_budget=state_budget)
 
 
 def inference_number(g: Graph, l: int, r: int, witness: bool = False,
                      state_budget: Optional[int] = None) -> ThresholdResult:
     """Fewest searchers with sight l that can corner the gas down to at most
-    r simultaneous vertices (r=0 recovers the full-clean question)."""
+    r simultaneous vertices (r=0 recovers the full-clean question).
+
+    Runs ``solve_cleaning`` with ``stop_at=r`` for k = 1, 2, ... until one
+    succeeds; a witness is a shortest play reaching at most r gas."""
     if r < 0:
         raise BadParamError("residue bound must be >= 0")
-    _check_game_graph(g, _CLEAN_MAX_N)
     total = 0
     for k in range(1, g.n + 1):
-        ok, script = _greedy_clean(g, k, l, r, witness)
-        if not ok:
-            res = solve_cleaning(g, k, l, stop_at=r, witness=witness, state_budget=state_budget)
-            total += res.states
-            ok, script = res.reached_stop, res.witness
-        if ok:
-            return ThresholdResult(value=k, l=l, witness=script, states=total)
+        res = solve_cleaning(g, k, l, stop_at=r, witness=witness, state_budget=state_budget)
+        total += res.states
+        if res.reached_stop:
+            return ThresholdResult(value=k, l=l, witness=res.witness, states=total)
     raise BadParamError("unreachable: n searchers clean everything at placement")
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from copclean.cli import main
 
 
@@ -94,6 +96,26 @@ def test_sweep_unknown_check(capsys):
 def test_sweep_empty_range_is_bad_param(capsys):
     code, out, err = run(capsys, "sweep", "--n-min", "5", "--n-max", "3",
                          "--check", "cleanable", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+@pytest.mark.parametrize("bad", [
+    ("--check", "see", "--l", "-1"),
+    ("--check", "girth-bound", "--l", "-1"),
+    ("--check", "girth-bound", "--r", "-1"),
+    ("--check", "girth-bound", "--rho", "-1"),
+    ("--check", "girth-bound", "--k", "0"),
+    ("--check", "girth-bound", "--jobs", "0"),
+])
+def test_sweep_rejects_bad_params_before_output(capsys, bad):
+    code, out, err = run(capsys, "sweep", "--n-max", "4", *bad, "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+def test_metrics_rejects_negative_sight(capsys):
+    code, out, err = run(capsys, "metrics", "--family", "cycle:5", "--l", "-1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BAD_PARAM"
 

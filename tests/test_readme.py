@@ -1,8 +1,12 @@
-"""The README's Python quick tour must run as written."""
+"""The README's Python quick tour and CLI examples must run as written."""
 
+import json
 import math
 import pathlib
 import re
+import shlex
+
+from copclean.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +24,18 @@ def test_readme_quick_tour_runs():
     assert ns["reach_number"](ns["cycle"](8), rho=1) == 2
     value = ns["expected_time"](ns["cycle"](5), k=2).value
     assert math.isclose(value, 747 / 140, rel_tol=1e-9)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+                for line in block.splitlines() if line.startswith("copclean ")]
+    assert commands, "README has no copclean examples"
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        if argv[:2] == ["solve", "maxclean"] and "--witness" in argv:
+            # clean-sim replays the script this example prints
+            (tmp_path / "script.json").write_text(json.dumps(json.loads(out)["witness"]))

@@ -76,13 +76,18 @@ def test_cleanable_iff_zero_gas(small_connected):
 
 def test_witness_replays_to_claimed_minimum(small_connected):
     for g in small_connected:
+        searched = []   # states of the full-clean search for k = 1, 2, ...
         for k in (1, 2):
             res = max_clean(g, k, 1, witness=True)
             assert res.witness is not None
             trace = run_script(g, res.witness)
             assert trace.min_gas == res.min_gas
+            searched.append(solve_cleaning(g, k, 1, stop_at=0).states)
+            assert cleanable(g, k, 1)[2] == searched[-1]
         see = seeing_number(g, 1, witness=True)
         assert run_script(g, see.witness).fully_cleaned_at is not None
+        # states counts every search run, never 0 for a found answer
+        assert see.value <= 2 and see.states == sum(searched[:see.value])
 
 
 def test_stop_at_short_circuits():
@@ -127,6 +132,10 @@ def test_oversize_and_disconnected_rejected():
         pursuit_solve(split, 1, 0)
     with pytest.raises(BadParamError):
         max_clean(cycle(4), 0, 1)
+    with pytest.raises(BadParamError):
+        cleanable(cycle(5), 2, -1)
+    with pytest.raises(BadParamError):
+        seeing_number(cycle(5), -1)
 
 
 # -- pursuit -------------------------------------------------------------------
