@@ -542,6 +542,8 @@ VERIFY_SUITES = {
 def cmd_verify(args) -> int:
     if args.suite not in VERIFY_SUITES:
         raise CopcleanError(f"unknown suite {args.suite!r}; pick from {sorted(VERIFY_SUITES)}")
+    if args.jobs < 1:
+        raise BadParamError("--jobs must be >= 1")
     t0 = time.perf_counter()
     ok, details = VERIFY_SUITES[args.suite](args)
     out = {"suite": args.suite, "passed": ok, "details": details}

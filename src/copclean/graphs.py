@@ -655,29 +655,13 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
     return out
 
 
-def _rows_connected(rows: tuple[int, ...], n: int) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _mask_bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in canonical-certificate order (deterministic across runs)."""
     if not 1 <= n <= ENUM_MAX_N:
         raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
-    out = []
-    for key in _all_graph_keys(n):
-        rows = rows_from_key(key, n)
-        if _rows_connected(rows, n):
-            out.append(Graph(n, rows=rows))
-    return out
+    graphs = (Graph(n, rows=rows_from_key(key, n)) for key in _all_graph_keys(n))
+    return [g for g in graphs if g.is_connected()]
 
 
 def count_graph_classes(n: int) -> int:

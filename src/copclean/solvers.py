@@ -10,12 +10,16 @@ Three engines share this module:
   searcher count; it is breadth first, so their witnesses are shortest plays.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
   radius, solved by backward induction over cop-move/robber-move states
-  (``_pursuit_attractor``, shared with the random-searcher chain in
+  (``_pursuit_graph``, shared with the random-searcher chain in
   ``stochastic``).
 * ``limited_capture_solve`` handles capture under limited sight: cops track a
   set of candidate robber locations, and the game is an AND-OR reachability
-  problem over (positions, candidate-set) states, solved by one bucketed
-  retrograde pass that yields both the winning region and the round counts.
+  problem over (positions, candidate-set) states with an AND node per move.
+
+Every capture answer, including the random chain's sure-capture region,
+comes from one retrograde kernel, ``_retrograde``: a bucketed backward pass
+over an AND-OR graph that yields both the winning region and the round
+counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -346,60 +350,99 @@ class PursuitResult:
     states: int
 
 
-def _pursuit_attractor(n: int, rows, zones, succs):
-    """Backward induction for pursuers that must bring the evader into their
-    zone.  State ids are ``c * n + r`` for config rank c and evader vertex r
-    outside ``zones[c]``.
+def _retrograde(need, is_or, seeds, preds):
+    """The one retrograde kernel: least fixpoint of an AND-OR graph, with
+    round counts, in one bucketed backward pass.
 
-    Returns ``(wc, wr)``: for pursuer-to-move and evader-to-move states, the
-    number of pursuer rounds the pursuers need to force capture, or NONE
-    where the evader escapes forever.  Staying put is always safe for the
-    evader, so captures happen only on pursuer moves.
+    Node v is won once ``need[v]`` of its successors are won: 1 on an OR
+    node, all of them on an AND node.  ``seeds`` lists ``(node, rounds)``
+    pairs won outright, one per node, and ``preds[v]`` the nodes that have v as a
+    successor.  A node's round count is that of the successor that
+    completed it, plus ``is_or[v]`` (1 on OR nodes, 0 on AND nodes).
+    Nodes complete in increasing round count, so an OR node takes the
+    fewest rounds over its won successors and an AND node the most.
+
+    Returns the round counts, NONE where the node is not won.  ``need`` is
+    consumed: a won node's entry drops to 0 or below, so it never
+    completes twice.
+    """
+    val = [NONE] * len(need)
+    buckets: dict[int, list[int]] = {}
+    for v, t in seeds:
+        val[v] = t
+        need[v] = 0
+        buckets.setdefault(t, []).append(v)
+    while buckets:
+        t = min(buckets)
+        cur = buckets[t]
+        for v in cur:   # AND nodes completed at t join cur as it runs
+            for p in preds[v]:
+                left = need[p] - 1
+                need[p] = left
+                if not left:
+                    tp = t + is_or[p]
+                    val[p] = tp
+                    buckets.setdefault(tp, []).append(p)
+        del buckets[t]
+    return val
+
+
+def _pursuit_graph(n: int, rows, zones, succs):
+    """The pursuit game as ``_retrograde`` input ``(need, is_or, seeds,
+    preds)``.  For config rank c and evader vertex r outside ``zones[c]``,
+    node ``c * n + r`` has the pursuers to move (an OR node over their
+    joint steps) and node ``size + c * n + r`` the evader to move after the
+    pursuers reached c (an AND node over its steps); other ids are unused.
+    A pursuer step that brings r into the zone captures, so such states
+    are seeds won in one round.  Staying put is always safe for the
+    evader, so captures happen only on pursuer steps.
     """
     full = (1 << n) - 1
     size = len(zones) * n
-    wc = [NONE] * size
-    wr = [NONE] * size
-    rob_counter = [0] * size
-    buckets: dict[int, list[tuple[int, int]]] = {}
-
-    # seed: pursuer states with a capturing move are won in one round
+    closed = [_mask_bits(rows[r] | 1 << r) for r in range(n)]
+    need = [1] * size + [0] * size
+    is_or = [1] * size + [0] * size
+    preds = [()] * (2 * size)
+    seeds = []
     for c, zc in enumerate(zones):
-        can_capture = 0  # evader positions hit by some successor zone
-        for c2 in succs[c]:
-            can_capture |= zones[c2]
+        sc = succs[c]
+        moved = [c0 * n for c0 in sc]
+        hit = 0   # evader positions some pursuer step captures
+        for c0 in sc:
+            hit |= zones[c0]
+        base = c * n
         for r in _mask_bits(full & ~zc):
-            sid = c * n + r
-            rob_counter[sid] = ((rows[r] | (1 << r)) & ~zc).bit_count()
-            if can_capture >> r & 1:
-                wc[sid] = 1
-                buckets.setdefault(1, []).append((0, sid))
-
-    while buckets:
-        val = min(buckets)
-        for kind, sid in buckets.pop(val):
-            c, r = divmod(sid, n)
-            if kind == 0:
-                # resolved pursuer state: an option of the evader states
-                # (same c) next to r, resolved once all their options are
-                for r0 in _mask_bits((rows[r] | (1 << r)) & ~zones[c]):
-                    psid = c * n + r0
-                    if wr[psid] != NONE:
-                        continue
-                    rob_counter[psid] -= 1
-                    if rob_counter[psid] == 0:
-                        wr[psid] = val
-                        buckets.setdefault(val, []).append((1, psid))
+            sid = base + r
+            # evader states (c, r0) that can step to r; by symmetry of the
+            # closed neighbourhood they are also the steps out of (c, r)
+            steps = [size + base + r0 for r0 in closed[r] if not zc >> r0 & 1]
+            preds[sid] = steps
+            need[size + sid] = len(steps)
+            # pursuer states (c0, r) stepping to c with r uncaught; only
+            # where some step captures r can a c0 zone hold r
+            if hit >> r & 1:
+                seeds.append((sid, 1))
+                preds[size + sid] = [c0 * n + r for c0 in sc if not zones[c0] >> r & 1]
             else:
-                # resolved evader state: pursuer states moving into c win
-                for c0 in succs[c]:
-                    if zones[c0] >> r & 1:
-                        continue
-                    psid = c0 * n + r
-                    if wc[psid] == NONE:
-                        wc[psid] = val + 1
-                        buckets.setdefault(val + 1, []).append((0, psid))
-    return wc, wr
+                preds[size + sid] = [m + r for m in moved]
+    return need, is_or, seeds, preds
+
+
+def _best_placement(cfgs, starts, val):
+    """The placement needing the fewest rounds in the worst case, the
+    first one on ties.  ``starts[i]`` lists the nodes the evader can start
+    from against ``cfgs[i]``; a placement with an unwon start is skipped,
+    and one with no start is won at once.  Returns ``(rounds, config)``,
+    or ``(None, None)`` when no placement wins."""
+    best = best_cfg = None
+    for cfg, nodes in zip(cfgs, starts):
+        times = [val[v] for v in nodes]
+        if NONE in times:
+            continue
+        t = max(times, default=0)
+        if best is None or t < best:
+            best, best_cfg = t, cfg
+    return best, best_cfg
 
 
 def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None) -> PursuitResult:
@@ -423,18 +466,9 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     nc = len(cfgs)
     if 2 * nc * n > budget:
         raise TooLargeError(f"pursuit space 2*{nc}*{n} exceeds budget {budget}", partial=None)
-    wc, _ = _pursuit_attractor(n, g.bit_rows, zones, succs)
-
-    best = None
-    best_cfg = None
-    for c in range(nc):
-        times = [wc[c * n + r] for r in _mask_bits(full & ~zones[c])]
-        if NONE in times:
-            continue
-        cand = max(times, default=0)
-        if best is None or cand < best:
-            best = cand
-            best_cfg = cfgs[c]
+    val = _retrograde(*_pursuit_graph(n, g.bit_rows, zones, succs))
+    starts = [[c * n + r for r in _mask_bits(full & ~zones[c])] for c in range(nc)]
+    best, best_cfg = _best_placement(cfgs, starts, val)
     return PursuitResult(
         k=k, rho=rho, capture=best is not None,
         capture_time=best, placement=best_cfg, states=2 * nc * n,
@@ -520,25 +554,29 @@ def limited_capture_solve(
         )
         return (mask | nb) & ~occ2
 
-    # forward exploration
-    state_id: dict[int, int] = {}
-    id_state: list[int] = []
-    moves_of: list[list[list[int]]] = []   # per state, per move, successor ids
+    # forward exploration into the AND-OR graph: an OR node per state, an
+    # AND node per move over its branches; a move with no branches wins
+    state_id: dict[int, int] = {}   # state key -> node id
+    need: list[int] = []
+    is_or: list[int] = []
+    preds: list = []
+    seeds = []
     stack = []
 
     def intern(c2, piece):
         key = c2 << n | piece
         sid = state_id.get(key)
         if sid is None:
-            sid = len(id_state)
-            if sid >= budget:
+            if len(state_id) >= budget:
                 raise TooLargeError(
                     f"candidate-set space exceeds budget {budget}", partial=None
                 )
+            sid = len(need)
             state_id[key] = sid
-            id_state.append(key)
-            moves_of.append([])
-            stack.append(sid)
+            need.append(1)
+            is_or.append(1)
+            preds.append([])
+            stack.append((sid, key))
         return sid
 
     init_pieces = [
@@ -547,66 +585,33 @@ def limited_capture_solve(
     ]
 
     while stack:
-        sid = stack.pop()
-        key = id_state[sid]
+        sid, key = stack.pop()
         c, S = key >> n, key & full
-        mvs = []
         for c2 in succs[c]:
             o2 = occ[c2]
             s2 = sights[c2]
             S0 = S & ~o2
-            if S0 == 0:
-                mvs.append([])
-                continue
-            mid = split(S0, s2) if observe_after_cop_move else [S0]
             branch_ids = set()
-            for piece in mid:
-                grown = expand(piece, o2)
-                for part in split(grown, s2):
-                    branch_ids.add(intern(c2, part))
-            mvs.append(sorted(branch_ids))
-        moves_of[sid] = mvs
+            if S0:
+                mid = split(S0, s2) if observe_after_cop_move else [S0]
+                for piece in mid:
+                    grown = expand(piece, o2)
+                    for part in split(grown, s2):
+                        branch_ids.add(intern(c2, part))
+            mv = len(need)
+            need.append(len(branch_ids))
+            is_or.append(0)
+            preds.append((sid,))
+            for b in branch_ids:
+                preds[b].append(mv)
+            if not branch_ids:
+                seeds.append((mv, 0))
 
-    nstates = len(id_state)
-
-    # least fixpoint with round counts: a state wins iff some move has all
-    # branches winning; buckets resolve states in increasing round count
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(nstates)]
-    counters = []
-    mtime = [NONE] * nstates
-    buckets: dict[int, list[int]] = {}
-    for sid, mvs in enumerate(moves_of):
-        counters.append([len(branch) for branch in mvs])
-        for mi, branch in enumerate(mvs):
-            for b in branch:
-                rev[b].append((sid, mi))
-        if any(not branch for branch in mvs):
-            mtime[sid] = 1
-            buckets.setdefault(1, []).append(sid)
-    while buckets:
-        val = min(buckets)
-        for sid in buckets.pop(val):
-            for psid, mi in rev[sid]:
-                if mtime[psid] != NONE:
-                    continue
-                counters[psid][mi] -= 1
-                if counters[psid][mi] == 0:
-                    mtime[psid] = val + 1
-                    buckets.setdefault(val + 1, []).append(psid)
-
-    best_time = None
-    best_cfg = None
-    for ci, pieces in enumerate(init_pieces):
-        times = [mtime[p] for p in pieces]
-        if NONE in times:
-            continue
-        t = max(times, default=0)
-        if best_time is None or t < best_time:
-            best_time = t
-            best_cfg = cfgs[ci]
+    val = _retrograde(need, is_or, seeds, preds)
+    best_time, best_cfg = _best_placement(cfgs, init_pieces, val)
     return LimitedCaptureResult(
         k=k, l=l, capture=best_time is not None, capture_time=best_time,
-        placement=best_cfg, states=nstates,
+        placement=best_cfg, states=len(state_id),
     )
 
 

@@ -9,7 +9,9 @@ placement is time 0.
 Expected values are computed exactly.  The almost-sure-capture region is
 found first: outside it the evader reaches, with positive probability, a
 state from which it can evade forever, so the expected time is infinite.
-Value iteration runs only inside the region.
+It takes two passes of the solvers' one retrograde kernel, ``_retrograde``,
+over the pursuit graph: the adversarial attractor, then the states that can
+reach one outside it.  Value iteration runs only inside the region.
 
 Two move models are supported: each searcher independently uniform over its
 closed neighborhood ("per_cop"), or one uniform draw over the distinct
@@ -31,8 +33,9 @@ from .solvers import (
     _budget,
     _check_game_graph,
     _config_tables,
-    _pursuit_attractor,
+    _pursuit_graph,
     _PURSUIT_MAX_N,
+    _retrograde,
     limited_capture_solve,
 )
 
@@ -143,53 +146,24 @@ class _RandomPursuit:
     # reach, with positive chain probability, a state where it evades any
     # searcher behavior forever?
     def _compute_sure_capture_region(self):
-        n, nc = self.n, self.nc
-        zones, succs, rows = self.zones, self.succs, self.rows
-
+        n, size = self.n, self.nc * self.n
         # attractor for adversarial searchers (can they force capture?)
-        wc, wr = _pursuit_attractor(n, rows, zones, succs)
-        cop_win = [v != NONE for v in wc]   # searcher-to-move states
-        rob_win = [v != NONE for v in wr]   # evader-to-move states
-
-        # states from which the evader reaches the evasion region with
-        # positive probability (every searcher move has positive probability)
-        esc_c = [False] * (nc * n)
-        esc_r = [False] * (nc * n)
-        stack = []
-        for c in range(nc):
-            alive = self.full & ~zones[c]
-            for r in _mask_bits(alive):
-                sid = c * n + r
-                if not cop_win[sid]:
-                    esc_c[sid] = True
-                    stack.append((0, sid))
-                if not rob_win[sid]:
-                    esc_r[sid] = True
-                    stack.append((1, sid))
-        while stack:
-            kind, sid = stack.pop()
-            c, r = divmod(sid, n)
-            if kind == 0:
-                # searcher state is escapable: evader states offering it too
-                for r0 in _mask_bits((rows[r] | (1 << r)) & ~zones[c]):
-                    psid = c * n + r0
-                    if not esc_r[psid]:
-                        esc_r[psid] = True
-                        stack.append((1, psid))
-            else:
-                for c0 in succs[c]:
-                    if zones[c0] >> r & 1:
-                        continue
-                    psid = c0 * n + r
-                    if not esc_c[psid]:
-                        esc_c[psid] = True
-                        stack.append((0, psid))
-        # inside the complement, capture is almost sure and times are finite
-        self.finite_c = [not e for e in esc_c]
-        self.finite_r = [not e for e in esc_r]
+        need, is_or, seeds, preds = _pursuit_graph(n, self.rows, self.zones, self.succs)
+        won = _retrograde(need, is_or, seeds, preds)
         # searcher-to-move states the evader survives against any searcher
         # behavior, random or not; an evader holding these is never caught
-        self.evade_c = [not w for w in cop_win]
+        self.evade_c = [w == NONE for w in won[:size]]
+        # every searcher move has positive probability, so the evader reaches
+        # an unwon state with positive probability from wherever it can
+        # reach one at all: the OR-attractor of the unwon alive states
+        alive = [
+            v for c, zc in enumerate(self.zones) for r in _mask_bits(self.full & ~zc)
+            for v in (c * n + r, size + c * n + r)
+        ]
+        esc = _retrograde([1] * len(need), [1] * len(need),
+                          [(v, 0) for v in alive if won[v] == NONE], preds)
+        # inside the complement, capture is almost sure and times are finite
+        self.finite_c = [e == NONE for e in esc[:size]]
 
     def value_iteration(self, tol=_VI_TOL):
         """Expected rounds to capture from searcher-to-move states (inf
@@ -235,7 +209,6 @@ class _RandomPursuit:
                 if diff > residual:
                     residual = diff
                 wc[sid] = total
-        self.wc = wc
         return wc, residual, iters
 
     def placement_value(self, c: int, wc) -> float:
@@ -243,6 +216,16 @@ class _RandomPursuit:
         if safe == 0:
             return 0.0
         return max(wc[c * self.n + r] for r in _mask_bits(safe))
+
+    def best_placement(self, wc) -> int:
+        """Rank of the placement with the least ``placement_value``, the
+        first on ties; 0 when every value is infinite."""
+        best, best_c = math.inf, 0
+        for c in range(self.nc):
+            v = self.placement_value(c, wc)
+            if v < best:
+                best, best_c = v, c
+        return best_c
 
 
 def expected_time(
@@ -290,19 +273,11 @@ def expected_time(
     wc, residual, iters = chain.value_iteration()
     n, nc = chain.n, chain.nc
     if placement == "optimal":
-        best = math.inf
-        best_cfg = None
-        for c in range(nc):
-            v = chain.placement_value(c, wc)
-            if v < best:
-                best = v
-                best_cfg = chain.cfgs[c]
-        if best_cfg is None:
-            best_cfg = chain.cfgs[0]
+        c = chain.best_placement(wc)
         return ExpectedTimeResult(
             mode=mode, k=k, rho=rho, move_model=move_model, placement_policy=placement,
-            value=best, placement=best_cfg, residual=residual, iterations=iters,
-            states=2 * nc * n,
+            value=chain.placement_value(c, wc), placement=chain.cfgs[c],
+            residual=residual, iterations=iters, states=2 * nc * n,
         )
     # uniform over ordered placements: weight each multiset by its orderings
     total = 0.0
@@ -394,17 +369,7 @@ def monte_carlo(
         horizon = 10 * n * n
     rows, zones = chain.rows, chain.zones
 
-    if placement == "optimal":
-        best = math.inf
-        best_c = 0
-        for c in range(nc):
-            v = chain.placement_value(c, wc)
-            if v < best:
-                best = v
-                best_c = c
-        fixed_c = best_c
-    else:
-        fixed_c = None
+    fixed_c = chain.best_placement(wc) if placement == "optimal" else None
 
     evade_c = chain.evade_c
 

@@ -268,6 +268,63 @@ def brute_pursuit_time(g: Graph, k: int, rho: int, cap: int | None = None):
     return result
 
 
+def brute_sure_capture(g: Graph, k: int, rho: int):
+    """Where random searchers capture almost surely, by plain set fixpoints.
+
+    First the adversarial win sets: searcher-to-move states from which some
+    move captures or leads to a won evader-to-move state, and evader-to-move
+    states all of whose replies lead to won searcher-to-move states.  Then
+    the sure-capture region: the greatest set of won states closed under
+    every searcher move that does not capture and every evader reply.
+    Returns {(cfg, r): (in region, evader survives every searcher)} over
+    the searcher-to-move states with r outside the zone of cfg.
+    """
+    cfgs = [tuple(sorted(c)) for c in
+            itertools.combinations_with_replacement(range(g.n), k)]
+    zones = {cfg: seen_by(g, cfg, rho) for cfg in cfgs}
+    moves = {}
+    for cfg in cfgs:
+        balls = [sorted(ball(g, c, 1)) for c in cfg]
+        moves[cfg] = {tuple(sorted(d)) for d in itertools.product(*balls)}
+    alive = [(cfg, r) for cfg in cfgs for r in range(g.n) if r not in zones[cfg]]
+
+    def searcher_next(cfg, r):
+        """Evader-to-move states after a non-capturing searcher move, and
+        whether some move captures."""
+        nxt = {(m, r) for m in moves[cfg] if r not in zones[m]}
+        return nxt, any(r in zones[m] for m in moves[cfg])
+
+    def evader_next(cfg, r):
+        return {(cfg, r2) for r2 in ball(g, r, 1) if r2 not in zones[cfg]}
+
+    won_c, won_r = set(), set()
+    changed = True
+    while changed:
+        changed = False
+        for st in alive:
+            nxt, captures = searcher_next(*st)
+            if st not in won_c and (captures or nxt & won_r):
+                won_c.add(st)
+                changed = True
+            if st not in won_r and evader_next(*st) <= won_c:
+                won_r.add(st)
+                changed = True
+
+    sure_c, sure_r = set(won_c), set(won_r)
+    changed = True
+    while changed:
+        changed = False
+        for st in list(sure_c):
+            if not searcher_next(*st)[0] <= sure_r:
+                sure_c.discard(st)
+                changed = True
+        for st in list(sure_r):
+            if not evader_next(*st) <= sure_c:
+                sure_r.discard(st)
+                changed = True
+    return {st: (st in sure_c, st not in won_c) for st in alive}
+
+
 def brute_cop_number(g: Graph) -> int:
     for k in range(1, g.n + 1):
         if brute_pursuit_time(g, k, 0) is not None:

@@ -198,6 +198,13 @@ def test_verify_suite_pass(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_bad_jobs_before_output(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--suite", "girth-bound", "--jobs", jobs, "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "everything")
     assert code == 2

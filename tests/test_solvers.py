@@ -201,9 +201,10 @@ def test_limited_capture_matches_oracle(small_connected):
             continue
         for k in (1, 2):
             for l in (0, 1):
-                want = oracles.brute_limited_capture(g, k, l)
-                got = limited_capture_solve(g, k, l)
-                assert got.capture == want, (g.edges(), k, l)
+                for obs in (True, False):
+                    want = oracles.brute_limited_capture(g, k, l, observe_after_cop_move=obs)
+                    got = limited_capture_solve(g, k, l, observe_after_cop_move=obs)
+                    assert got.capture == want, (g.edges(), k, l, obs)
 
 
 def test_limited_capture_c4():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from copclean.errors import BadParamError
 from copclean.families import complete, cycle, path, star
 from copclean.graphs import enumerate_connected
@@ -65,6 +66,20 @@ def test_infinite_exactly_when_too_few(small_connected):
         for k in (1, 2):
             res = expected_time(g, k)
             assert math.isinf(res.value) == (k < c), (g.edges(), k, c)
+
+
+def test_sure_capture_region_matches_oracle():
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for k in (1, 2):
+                for rho in (0, 1):
+                    chain = _RandomPursuit(g, k, rho, "per_cop")
+                    got = {
+                        (cfg, r): (chain.finite_c[c * n + r], chain.evade_c[c * n + r])
+                        for c, cfg in enumerate(chain.cfgs)
+                        for r in range(n) if not chain.zones[c] >> r & 1
+                    }
+                    assert got == oracles.brute_sure_capture(g, k, rho), (g.edges(), k, rho)
 
 
 def test_uniform_placement_never_beats_optimal():
