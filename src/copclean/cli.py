@@ -5,8 +5,9 @@ sweep, verify.  Exit codes: 0 success, 1 a suite or sweep reported failures,
 2 usage or input errors, 3 instance too large for the exact solvers.
 
 JSON output is emitted with sorted keys and no timing fields, so runs are
-byte-identical across machines and worker counts; pass --timing to include
-elapsed seconds where supported.  The exact-solver state budget can be
+byte-identical across machines and worker counts, up to the last digit of
+expected-time values, which come from a LAPACK solve; pass --timing to
+include elapsed seconds where supported.  The exact-solver state budget can be
 overridden via the COPCLEAN_STATE_BUDGET environment variable.
 """
 

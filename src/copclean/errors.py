@@ -47,10 +47,3 @@ class TooLargeError(CopcleanError, RuntimeError):
         self.partial = partial
         super().__init__(message)
 
-
-class ConvergenceError(CopcleanError, RuntimeError):
-    code = "NO_CONVERGENCE"
-
-    def __init__(self, message: str, residual: float | None = None):
-        self.residual = residual
-        super().__init__(message)

@@ -83,29 +83,23 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges, name=f"tree:{n}:{seed}")
 
 
+_SPECS = {"cycle": (cycle, 1), "path": (path, 1), "complete": (complete, 1), "star": (star, 1),
+          "spider": (spider, 2), "heawood": (heawood, 0), "tree": (random_tree, 2)}
+
+
 def from_spec(spec: str) -> Graph:
     """Build a family member from a colon-separated spec string.
 
     Accepted forms: ``cycle:N``, ``path:N``, ``complete:N``, ``star:LEAVES``,
-    ``spider:LEGS:LEGLEN``, ``heawood``, ``tree:N:SEED``.
+    ``spider:LEGS:LEGLEN``, ``heawood``, ``tree:N:SEED``.  Integers the
+    builder rejects raise its own ``BadParamError``.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *params = spec.split(":")
+    build, arity = _SPECS.get(kind, (None, -1))
+    if len(params) != arity:
+        raise BadParamError(f"unknown family spec {spec!r}")
     try:
-        if kind == "cycle" and len(parts) == 2:
-            return cycle(int(parts[1]))
-        if kind == "path" and len(parts) == 2:
-            return path(int(parts[1]))
-        if kind == "complete" and len(parts) == 2:
-            return complete(int(parts[1]))
-        if kind == "star" and len(parts) == 2:
-            return star(int(parts[1]))
-        if kind == "spider" and len(parts) == 3:
-            return spider(int(parts[1]), int(parts[2]))
-        if kind == "heawood" and len(parts) == 1:
-            return heawood()
-        if kind == "tree" and len(parts) == 3:
-            return random_tree(int(parts[1]), int(parts[2]))
+        args = [int(p) for p in params]
     except ValueError:
         raise BadParamError(f"non-integer parameter in family spec {spec!r}") from None
-    raise BadParamError(f"unknown family spec {spec!r}")
+    return build(*args)

@@ -11,7 +11,12 @@ found first: outside it the evader reaches, with positive probability, a
 state from which it can evade forever, so the expected time is infinite.
 It takes two passes of the solvers' one retrograde kernel, ``_retrograde``,
 over the pursuit graph: the adversarial attractor, then the states that can
-reach one outside it.  Value iteration runs only inside the region.
+reach one outside it.  Inside the region, Howard policy iteration over the
+evader's replies gives the values.  There every evader policy yields a
+proper chain, so each evaluation ``(I - P) v = 1`` is nonsingular and the
+method ends after finitely many steps (R. A. Howard, *Dynamic Programming
+and Markov Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16,
+1991).  Wherever a choice is made, values within ``_TIE_REL`` count as equal.
 
 Two move models are supported: each searcher independently uniform over its
 closed neighborhood ("per_cop"), or one uniform draw over the distinct
@@ -26,7 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadParamError, ConvergenceError, TooLargeError
+import numpy as np
+
+from .errors import BadParamError, TooLargeError
 from .graphs import Graph, _mask_bits
 from .solvers import (
     NONE,
@@ -39,8 +46,18 @@ from .solvers import (
     limited_capture_solve,
 )
 
-_VI_TOL = 1e-12
-_VI_MAX_ITERS = 1_000_000
+# relative gap below which two expected times count as equal: rounding in
+# the dense solve stays near 1e-15, far below it
+_TIE_REL = 1e-9
+# largest almost-sure region solved: the dense matrix holds m*m floats
+# (328 MB at the cap) and the solver copies it once; Heawood with k=3 has
+# 6,370 states
+_PI_MAX_STATES = 6_400
+
+
+def _exceeds(a, b):
+    """``a`` is larger than ``b`` by more than the rounding guard."""
+    return a > b + _TIE_REL * abs(b)
 
 MOVE_MODELS = ("per_cop", "joint_multiset")
 PLACEMENTS = ("optimal", "uniform")
@@ -56,8 +73,8 @@ class ExpectedTimeResult:
     placement_policy: str
     value: float                     # math.inf when capture is not a.s.
     placement: Optional[tuple[int, ...]]
-    residual: float                  # last sweep's largest change, not an error bound
-    iterations: int
+    residual: float                  # largest Bellman residual |T v - v| of the values
+    iterations: int                  # policy iterations (linear solves)
     states: int
 
     def to_dict(self) -> dict:
@@ -88,14 +105,9 @@ class _RandomPursuit:
         _check_game_graph(g, _PURSUIT_MAX_N)
         budget = _budget(state_budget)
         n = g.n
-        self.g = g
         self.n = n
-        self.k = k
-        self.rho = rho
-        self.move_model = move_model
         self.full = (1 << n) - 1
-        rows = g.bit_rows
-        self.rows = rows
+        self.rows = rows = g.bit_rows
 
         cfgs, rank, zones, succs = _config_tables(g, k, rho)
         self.cfgs = cfgs
@@ -165,65 +177,71 @@ class _RandomPursuit:
         # inside the complement, capture is almost sure and times are finite
         self.finite_c = [e == NONE for e in esc[:size]]
 
-    def value_iteration(self, tol=_VI_TOL):
+    def policy_iteration(self):
         """Expected rounds to capture from searcher-to-move states (inf
-        outside the almost-sure region), by monotone Gauss-Seidel iteration
-        from zero.  The returned residual is the largest change in the last
-        sweep, not a bound on the distance to the fixed point."""
-        n, nc = self.n, self.nc
-        zones, rows = self.zones, self.rows
-        inf = math.inf
-        wc = [0.0 if f else inf for f in self.finite_c]
-        # per alive state: (sid, [(p, evader reply sids), ...]) over the
-        # searcher outcomes that do not capture
-        plan = []
-        for c in range(nc):
-            for r in _mask_bits(self.full & ~zones[c]):
-                sid = c * n + r
-                if self.finite_c[sid]:
-                    closed_r = rows[r] | (1 << r)
-                    plan.append((sid, [
-                        (p, [c2 * n + r2 for r2 in _mask_bits(closed_r & ~zones[c2])])
-                        for c2, p in self.move_dist[c] if not zones[c2] >> r & 1
-                    ]))
-        residual = inf
-        iters = 0
-        while residual > tol:
-            iters += 1
-            if iters > _VI_MAX_ITERS:
-                raise ConvergenceError(
-                    f"value iteration stuck above tol={tol}", residual=residual
-                )
-            residual = 0.0
-            for sid, outcomes in plan:
-                total = 1.0
-                for p, replies in outcomes:
-                    # evader's best reply after this searcher outcome
-                    best = 0.0
-                    for s2 in replies:
-                        v = wc[s2]
-                        if v > best:
-                            best = v
-                    total += p * best
-                diff = total - wc[sid]
-                if diff > residual:
-                    residual = diff
-                wc[sid] = total
+        outside the almost-sure region), by Howard policy iteration over the
+        evader's replies.  Returns the values, the largest Bellman residual
+        ``|T v - v|`` over the region (an a-posteriori check of the values),
+        and the number of policy evaluations."""
+        n, zones, rows, finite = self.n, self.zones, self.rows, self.finite_c
+        sids = [s for s in range(self.nc * n) if finite[s] and not zones[s // n] >> s % n & 1]
+        m = len(sids)
+        if m > _PI_MAX_STATES:
+            raise TooLargeError(f"almost-sure region of {m} states exceeds the "
+                                f"dense-solve cap {_PI_MAX_STATES}", partial=None)
+        col = {sid: i for i, sid in enumerate(sids)}
+        # one row per searcher outcome that does not capture: the state it
+        # leaves, its probability and the evader's replies, padded with m
+        # (value -inf); the region is closed, so every reply lies inside it
+        width = 1 + max(bin(x).count("1") for x in rows)
+        src, prob, replies = [], [], []
+        for i, sid in enumerate(sids):
+            c, r = divmod(sid, n)
+            closed_r = rows[r] | (1 << r)
+            for c2, p in self.move_dist[c]:
+                if not zones[c2] >> r & 1:
+                    reps = [col[c2 * n + r2] for r2 in _mask_bits(closed_r & ~zones[c2])]
+                    src.append(i)
+                    prob.append(p)
+                    replies.append(reps + [m] * (width - len(reps)))
+        src = np.array(src, dtype=np.intp)
+        prob = np.array(prob)
+        replies = np.array(replies, dtype=np.intp).reshape(-1, width)
+        outcome = np.arange(len(replies))
+        pick = np.zeros(len(replies), dtype=np.intp)
+        v = np.append(np.zeros(m), -np.inf)
+        for iters in itertools.count(1):
+            a = np.eye(m)
+            np.add.at(a, (src, replies[outcome, pick]), -prob)
+            v[:m] = np.linalg.solve(a, np.ones(m))
+            vals = v[replies]
+            best = vals.argmax(axis=1)
+            top = vals[outcome, best]
+            cur = vals[outcome, pick]
+            switch = _exceeds(top, cur)
+            if not switch.any():
+                break
+            pick[switch] = best[switch]
+        bellman = np.ones(m)
+        np.add.at(bellman, src, prob * top)
+        residual = float(np.abs(bellman - v[:m]).max(initial=0.0))
+        wc = [0.0 if f else math.inf for f in finite]
+        for sid, x in zip(sids, v[:m].tolist()):
+            wc[sid] = x
         return wc, residual, iters
 
     def placement_value(self, c: int, wc) -> float:
-        safe = self.full & ~self.zones[c]
-        if safe == 0:
-            return 0.0
-        return max(wc[c * self.n + r] for r in _mask_bits(safe))
+        safe = _mask_bits(self.full & ~self.zones[c])
+        return max((wc[c * self.n + r] for r in safe), default=0.0)
 
     def best_placement(self, wc) -> int:
-        """Rank of the placement with the least ``placement_value``, the
-        first on ties; 0 when every value is infinite."""
+        """Rank of the placement with the least ``placement_value``; each
+        replaces the best so far only when smaller by more than
+        ``_TIE_REL``, so ties go to the first.  0 when all are infinite."""
         best, best_c = math.inf, 0
         for c in range(self.nc):
             v = self.placement_value(c, wc)
-            if v < best:
+            if _exceeds(best, v):
                 best, best_c = v, c
         return best_c
 
@@ -241,11 +259,13 @@ def expected_time(
     """Expected number of searcher rounds until capture.
 
     mode "random": searchers move randomly (see module docstring), the
-    evader is an optimal adversary, and the value comes from Gauss-Seidel
-    value iteration, which stops once a sweep changes no value by more than
-    1e-12.  ``residual`` is that last sweep's largest change, not a bound on
-    the error: on C5 with k=2 it stops at 5.335714285712634 against the
-    exact 747/140 = 5.335714285714286.  mode "belief": searchers play the
+    evader is an optimal adversary, and the value comes from policy
+    iteration, exact up to rounding: on C5 with k=2 it is 747/140 to within
+    a unit in the last place.  ``iterations`` counts policy evaluations and
+    ``residual`` is the largest Bellman residual ``|T v - v|`` over the
+    almost-sure region; a region above ``_PI_MAX_STATES`` states raises
+    ``TooLargeError``.  The optimal placement is ``best_placement``'s: ties
+    within ``_TIE_REL`` go to the first.  mode "belief": searchers play the
     optimal limited-sight capture strategy (sight radius ``l``), which is
     deterministic, so the value is the worst-case round count; only rho=0
     and optimal placement are supported there.
@@ -270,31 +290,20 @@ def expected_time(
         )
 
     chain = _RandomPursuit(g, k, rho, move_model, state_budget=state_budget)
-    wc, residual, iters = chain.value_iteration()
-    n, nc = chain.n, chain.nc
+    wc, residual, iters = chain.policy_iteration()
     if placement == "optimal":
         c = chain.best_placement(wc)
-        return ExpectedTimeResult(
-            mode=mode, k=k, rho=rho, move_model=move_model, placement_policy=placement,
-            value=chain.placement_value(c, wc), placement=chain.cfgs[c],
-            residual=residual, iterations=iters, states=2 * nc * n,
-        )
-    # uniform over ordered placements: weight each multiset by its orderings
-    total = 0.0
-    weight_sum = 0
-    for c, cfg in enumerate(chain.cfgs):
-        w = _orderings(cfg)
-        weight_sum += w
-        v = chain.placement_value(c, wc)
-        if math.isinf(v):
-            total = math.inf
-        if not math.isinf(total):
-            total += w * v
-    value = total if math.isinf(total) else total / weight_sum
+        value, at = chain.placement_value(c, wc), chain.cfgs[c]
+    else:
+        # uniform over the n**k ordered placements: weight each multiset by
+        # its orderings
+        value = math.fsum(_orderings(cfg) * chain.placement_value(c, wc)
+                          for c, cfg in enumerate(chain.cfgs)) / chain.n ** k
+        at = None
     return ExpectedTimeResult(
         mode=mode, k=k, rho=rho, move_model=move_model, placement_policy=placement,
-        value=value, placement=None, residual=residual, iterations=iters,
-        states=2 * nc * n,
+        value=value, placement=at, residual=residual, iterations=iters,
+        states=2 * chain.nc * chain.n,
     )
 
 
@@ -342,9 +351,10 @@ def monte_carlo(
     state_budget: Optional[int] = None,
 ) -> MonteCarloResult:
     """Simulate the random-searcher chain against a greedy adversary driven
-    by the exact analysis (prefers provably safe spots, then spots with
-    infinite expected time, then the largest finite value, ties to the
-    lowest vertex id).
+    by the exact analysis of ``expected_time`` (prefers provably safe spots,
+    then spots with infinite expected time, then the largest finite value;
+    values within ``_TIE_REL`` of the best so far are ties, which go to the
+    lowest vertex id).  The optimal placement is ``expected_time``'s.
 
     Reproducibility: trial ``i`` draws from its own
     ``random.Random(f"{seed}:{i}")``, so any trial can be reproduced alone
@@ -363,7 +373,7 @@ def monte_carlo(
     if horizon is not None and horizon < 1:
         raise BadParamError("horizon must be at least one round")
     chain = _RandomPursuit(g, k, rho, move_model, state_budget=state_budget)
-    wc, _, _ = chain.value_iteration()
+    wc, _, _ = chain.policy_iteration()
     n, nc = chain.n, chain.nc
     if horizon is None:
         horizon = 10 * n * n
@@ -376,8 +386,8 @@ def monte_carlo(
     def evader_pick(c: int, options) -> int:
         # deterministic: provably safe spots first (never captured from
         # there), then positive-escape-chance spots, then the largest
-        # expected time; ties to the lowest vertex id; -1 when there is
-        # no option (captured)
+        # expected time; options ascend, so ties go to the lowest vertex id;
+        # -1 when there is no option (captured)
         if not options:
             return -1
         safe_opts = [r for r in options if evade_c[c * n + r]]
@@ -386,11 +396,10 @@ def monte_carlo(
         inf_opts = [r for r in options if math.isinf(wc[c * n + r])]
         if inf_opts:
             return min(inf_opts)
-        best_r = None
-        best_v = -1.0
+        best_r, best_v = -1, -1.0
         for r in options:
             v = wc[c * n + r]
-            if v > best_v or (v == best_v and (best_r is None or r < best_r)):
+            if _exceeds(v, best_v):
                 best_r, best_v = r, v
         return best_r
 

@@ -9,6 +9,7 @@ differently than the fast solvers do.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 from copclean.graphs import Graph
@@ -323,6 +324,64 @@ def brute_sure_capture(g: Graph, k: int, rho: int):
                 sure_r.discard(st)
                 changed = True
     return {st: (st in sure_c, st not in won_c) for st in alive}
+
+
+def brute_expected_time(g: Graph, k: int, rho: int, move_model: str = "per_cop") -> dict:
+    """Expected searcher rounds to capture by random searchers against an
+    optimal evader, under "optimal" and "uniform" placement: ``math.inf``
+    when capture is not almost sure.
+
+    The chain is rebuilt from the model: each round the searchers move (each
+    uniformly over its closed neighborhood for "per_cop", or uniformly over
+    the distinct joint moves for "joint_multiset"), capture happens when the
+    evader ends up in the new zone, otherwise the evader steps within its
+    closed neighborhood to the reply of largest value.  ``brute_sure_capture``
+    decides where the values are finite; inside that region plain
+    Gauss-Seidel value iteration from zero runs until a sweep changes no
+    value at all.  Every operation is monotone, so the float iterates rise
+    to a fixed point.  "optimal" is the least worst-case value over searcher
+    placements; "uniform" averages over ordered placements.
+    """
+    cfgs = [tuple(sorted(c)) for c in
+            itertools.combinations_with_replacement(range(g.n), k)]
+    zones = {cfg: seen_by(g, cfg, rho) for cfg in cfgs}
+    moves = {}
+    for cfg in cfgs:
+        dests = [tuple(sorted(d)) for d in
+                 itertools.product(*(sorted(ball(g, c, 1)) for c in cfg))]
+        if move_model == "joint_multiset":
+            dests = sorted(set(dests))
+        dist = {}
+        for d in dests:
+            dist[d] = dist.get(d, 0.0) + 1.0 / len(dests)
+        moves[cfg] = dist
+    finite = sorted(st for st, (ok, _) in brute_sure_capture(g, k, rho).items() if ok)
+    index = {st: i for i, st in enumerate(finite)}
+    plan = [
+        [(p, [index[(d, r2)] for r2 in sorted(ball(g, r, 1)) if r2 not in zones[d]])
+         for d, p in moves[cfg].items() if r not in zones[d]]
+        for cfg, r in finite
+    ]
+    value = [0.0] * len(finite)
+    changed = True
+    while changed:
+        changed = False
+        for i, outcomes in enumerate(plan):
+            v = 1.0
+            for p, replies in outcomes:
+                v += p * max(map(value.__getitem__, replies))
+            if v != value[i]:
+                value[i] = v
+                changed = True
+
+    def start(cfg):
+        safe = [r for r in range(g.n) if r not in zones[cfg]]
+        return max((value[index[(cfg, r)]] if (cfg, r) in index else math.inf
+                    for r in safe), default=0.0)
+
+    starts = [start(tuple(sorted(p))) for p in itertools.product(range(g.n), repeat=k)]
+    return {"optimal": min(start(cfg) for cfg in cfgs),
+            "uniform": sum(starts) / len(starts)}
 
 
 def brute_cop_number(g: Graph) -> int:

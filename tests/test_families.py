@@ -82,3 +82,12 @@ def test_from_spec_errors():
     for bad in ("ring:5", "cycle", "cycle:x", "spider:3", "heawood:1", ""):
         with pytest.raises(BadParamError):
             from_spec(bad)
+
+
+def test_from_spec_passes_builder_errors():
+    # an integer the builder rejects keeps the builder's message
+    for spec, msg in (("cycle:2", "cycle needs n >= 3"), ("cycle:0", "cycle needs n >= 3"),
+                      ("tree:0:1", "tree needs n >= 1"),
+                      ("spider:0:0", "spider needs legs >= 1 and leg_len >= 1")):
+        with pytest.raises(BadParamError, match=msg):
+            from_spec(spec)
