@@ -27,8 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .cleaning import StrategyScript
-from .errors import BadParamError
+from .errors import BadParamError, UnsupportedSizeError
 from .graphs import Graph
+
+MAX_VERTICES = 1 << 20   # k=2 with the default m=16 has 262,148
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,13 @@ class ConstructionSpec:
         parts = 2 * self.k
         if m < parts or m % parts != 0:
             raise BadParamError(f"step count m={m} must be a positive multiple of {parts}")
+        # m > 20 is over the cap for every k; testing it first keeps an
+        # absurd m from building 1 << m
+        if m > 20 or parts * ((1 << m) + 1) > MAX_VERTICES:
+            raise UnsupportedSizeError(
+                f"k={self.k}, m={m} gives {parts} * (2^{m} + 1) vertices, "
+                f"above the cap of {MAX_VERTICES}"
+            )
         part = self.partition if self.partition is not None else default_partition(self.k, m)
         _validate_partition(part, m, parts)
         return m, parts, tuple(tuple(sorted(c)) for c in part)

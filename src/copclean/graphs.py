@@ -1,9 +1,10 @@
-"""Immutable undirected graphs with a compact bit-row core.
+"""Immutable undirected graphs stored as CSR neighbour arrays.
 
-Vertices are dense integers 0..n-1.  Graphs on at most 64 vertices keep one
-adjacency bitmask per vertex (the hot path for the game solvers); larger
-graphs fall back to CSR-style sorted neighbour arrays.  Both forms sit
-behind the same interface and callers never see the boundary.
+Vertices are dense integers 0..n-1.  Every graph keeps one storage: the CSR
+pair ``(indptr, nbrs)``, with each vertex's neighbours sorted ascending.
+Graphs on at most 64 vertices also expose ``bit_rows``, one adjacency
+bitmask per vertex, built from the CSR pair on first read; the game solvers
+work on those.
 
 Also here: the graph6 codec, structural metrics (degrees, girth, diameter,
 distance-l degrees), canonical forms, and an exhaustive enumerator of
@@ -25,7 +26,7 @@ from .errors import (
     VertexRangeError,
 )
 
-_BIG_N = 64           # bit-row representation up to here, CSR beyond
+_BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
 
 ACYCLIC = None        # girth sentinel
@@ -33,65 +34,54 @@ DISCONNECTED = None   # diameter sentinel
 
 
 class Graph:
-    """Immutable simple undirected graph."""
+    """Immutable simple undirected graph.
 
-    __slots__ = ("n", "name", "_rows", "_indptr", "_nbrs")
+    Vertex v's neighbours are ``nbrs[indptr[v]:indptr[v + 1]]``, sorted and
+    free of repeats, so two graphs are equal iff their CSR pairs are.  Build
+    one with ``from_edges`` or ``from_edge_arrays``.
+    """
 
-    def __init__(self, n, rows=None, indptr=None, nbrs=None, name=None):
-        if n < 1:
-            raise BadParamError("graph needs at least one vertex")
+    __slots__ = ("n", "name", "_indptr", "_nbrs", "_bit_rows")
+
+    def __init__(self, n, indptr, nbrs, name=None):
         self.n = n
         self.name = name
-        self._rows = rows
         self._indptr = indptr
         self._nbrs = nbrs
+        self._bit_rows = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> "Graph":
-        if n < 1:
-            raise BadParamError("graph needs at least one vertex")
-        if n <= _BIG_N:
-            rows = [0] * n
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-                if u == v:
-                    raise BadParamError(f"self-loop at {u}")
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            return Graph(n, rows=tuple(rows), name=name)
-        us, vs = [], []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise BadParamError(f"self-loop at {u}")
-            us.append(u)
-            vs.append(v)
-        return Graph.from_edge_arrays(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), name=name)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        return Graph.from_edge_arrays(n, pairs[:, 0], pairs[:, 1], name=name)
 
     @staticmethod
     def from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray, name: str | None = None) -> "Graph":
-        """Build from parallel endpoint arrays (large-graph path)."""
-        if n <= _BIG_N:
-            return Graph.from_edges(n, zip(us.tolist(), vs.tolist()), name=name)
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if len(src):
-            keep = np.ones(len(src), dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[keep], dst[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        nbrs = dst.astype(np.int32)
+        """Build from parallel endpoint arrays; repeated edges collapse."""
+        if n < 1:
+            raise BadParamError("graph needs at least one vertex")
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        out = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
+        bad = out | (us == vs)
+        if bad.any():
+            i = int(bad.argmax())
+            u, v = int(us[i]), int(vs[i])
+            if out[i]:
+                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+            raise BadParamError(f"self-loop at {u}")
+        # arc u -> v is key u*n + v; sorted unique keys list each vertex's
+        # neighbours in order, vertex after vertex
+        keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
+        keep = np.ones(len(keys), dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        keys = keys[keep]
+        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int64)
+        nbrs = (keys % n).astype(np.int32)
         nbrs.setflags(write=False)
         indptr.setflags(write=False)
-        return Graph(n, indptr=indptr, nbrs=nbrs, name=name)
+        return Graph(n, indptr, nbrs, name=name)
 
     # -- basic queries -----------------------------------------------------
 
@@ -99,46 +89,40 @@ class Graph:
         """Open neighbourhood of v, sorted ascending."""
         if not 0 <= v < self.n:
             raise VertexRangeError(f"vertex {v} out of range")
-        if self._rows is not None:
-            return _mask_bits(self._rows[v])
         return self._nbrs[self._indptr[v]:self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise VertexRangeError(f"vertex {v} out of range")
-        if self._rows is not None:
-            return self._rows[v].bit_count()
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise VertexRangeError(f"pair ({u},{v}) out of range")
-        if self._rows is not None:
-            return bool(self._rows[u] >> v & 1)
         row = self._nbrs[self._indptr[u]:self._indptr[u + 1]]
         i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
+        return bool(i < len(row) and row[i] == v)
 
     @property
     def bit_rows(self) -> tuple[int, ...]:
-        if self._rows is None:
-            raise UnsupportedSizeError(f"bit rows unavailable for n={self.n} > {_BIG_N}")
-        return self._rows
+        """Adjacency bitmask per vertex (n <= 64 only), built once."""
+        if self._bit_rows is None:
+            if self.n > _BIT_ROWS_MAX_N:
+                raise UnsupportedSizeError(f"bit rows unavailable for n={self.n} > {_BIT_ROWS_MAX_N}")
+            rows = [0] * self.n
+            for v, nbrs in enumerate(self._adjacency()):
+                for w in nbrs:
+                    rows[v] |= 1 << w
+            self._bit_rows = tuple(rows)
+        return self._bit_rows
 
     def edge_count(self) -> int:
-        if self._rows is not None:
-            return sum(r.bit_count() for r in self._rows) // 2
         return len(self._nbrs) // 2
 
     def closed_rows(self, count: int) -> np.ndarray:
         """Row v (v < count) holds v and then its neighbours ascending, as
         an int32 matrix padded with -1 to the widest row."""
-        if self._rows is not None:
-            lists = [self.neighbors(v) for v in range(count)]
-            indptr = np.cumsum([0] + [len(x) for x in lists])
-            nbrs = np.array([w for x in lists for w in x], dtype=np.int32)
-        else:
-            indptr, nbrs = self._indptr, self._nbrs
+        indptr, nbrs = self._indptr, self._nbrs
         lo = indptr[:count]
         deg = indptr[1:count + 1] - lo
         width = int(deg.max())
@@ -149,16 +133,22 @@ class Graph:
             out[has, 1 + col] = nbrs[lo[has] + col]
         return out
 
+    def _adjacency(self) -> list[list[int]]:
+        """Every vertex's neighbour list, as plain Python lists."""
+        ptr, nbrs = self._indptr.tolist(), self._nbrs.tolist()
+        return [nbrs[ptr[v]:ptr[v + 1]] for v in range(self.n)]
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.neighbors(u):
+        for u, nbrs in enumerate(self._adjacency()):
+            for v in nbrs:
                 if u < v:
                     yield (u, v)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and list(self.edges()) == list(other.edges())
+        return (self.n == other.n and np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._nbrs, other._nbrs))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -168,31 +158,15 @@ class Graph:
 
     def bfs_dist(self, src: int) -> list[int]:
         """Distances from src; -1 marks unreachable vertices."""
-        if self._rows is not None:
-            rows = self._rows
-            dist = [-1] * self.n
-            seen = 1 << src
-            frontier = seen
-            d = 0
-            while frontier:
-                for v in _mask_bits(frontier):
-                    dist[v] = d
-                nxt = 0
-                for v in _mask_bits(frontier):
-                    nxt |= rows[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-                d += 1
-            return dist
         dist = [-1] * self.n
         dist[src] = 0
         queue = [src]
-        indptr, nbrs = self._indptr, self._nbrs
+        ptr, nbrs = self._indptr.tolist(), self._nbrs.tolist()
         while queue:
             nxt = []
             for u in queue:
                 du = dist[u] + 1
-                for w in nbrs[indptr[u]:indptr[u + 1]].tolist():
+                for w in nbrs[ptr[u]:ptr[u + 1]]:
                     if dist[w] < 0:
                         dist[w] = du
                         nxt.append(w)
@@ -200,7 +174,7 @@ class Graph:
         return dist
 
     def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.bfs_dist(0))
+        return -1 not in self.bfs_dist(0)
 
     def closed_l_mask(self, v: int, l: int) -> int:
         """Bitmask of the closed distance-l ball around v (n <= 64 only)."""
@@ -233,8 +207,6 @@ def closed_l_neighborhood(g: Graph, v: int, l: int) -> frozenset[int]:
         raise BadParamError("radius must be >= 0")
     if not 0 <= v < g.n:
         raise VertexRangeError(f"vertex {v} out of range")
-    if g._rows is not None:
-        return frozenset(_mask_bits(g.closed_l_mask(v, l)))
     reach = {v}
     frontier = [v]
     for _ in range(l):
@@ -283,22 +255,9 @@ class GraphMetrics:
 def girth(g: Graph) -> Optional[int]:
     """Exact girth via shortest-cycle-through-each-edge; None if acyclic."""
     best = None
-    if g._rows is not None:
-        rows = list(g._rows)
-        for u, v in g.edges():
-            r2 = rows.copy()
-            r2[u] &= ~(1 << v)
-            r2[v] &= ~(1 << u)
-            d = _mask_bfs_target(r2, u, v, best)
-            if d is not None:
-                cyc = d + 1
-                if best is None or cyc < best:
-                    best = cyc
-                    if best == 3:
-                        return 3
-        return best
+    adj = g._adjacency()
     for u, v in g.edges():
-        d = _bfs_target_skip_edge(g, u, v, best)
+        d = _bfs_target_skip_edge(adj, u, v, best)
         if d is not None:
             cyc = d + 1
             if best is None or cyc < best:
@@ -308,26 +267,7 @@ def girth(g: Graph) -> Optional[int]:
     return best
 
 
-def _mask_bfs_target(rows, src, dst, cap):
-    seen = 1 << src
-    frontier = seen
-    d = 0
-    target = 1 << dst
-    while frontier:
-        if frontier & target:
-            return d
-        d += 1
-        if cap is not None and d + 1 >= cap:
-            return None
-        nxt = 0
-        for v in _mask_bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return None
-
-
-def _bfs_target_skip_edge(g, src, dst, cap):
+def _bfs_target_skip_edge(adj, src, dst, cap):
     dist = {src: 0}
     queue = [src]
     while queue:
@@ -336,7 +276,7 @@ def _bfs_target_skip_edge(g, src, dst, cap):
             dx = dist[x] + 1
             if cap is not None and dx + 1 >= cap:
                 continue
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 if (x == src and y == dst) or (x == dst and y == src):
                     continue
                 if y == dst:
@@ -392,32 +332,13 @@ def emit_graph6(g: Graph) -> str:
     else:
         out.extend((126, 126))
         out.extend(63 + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0))
-    acc = 0
-    nbits = 0
-    if g._rows is not None:
-        rows = g._rows
-        for j in range(1, n):
-            rj = rows[j]
-            for i in range(j):
-                acc = acc << 1 | (rj >> i & 1)
-                nbits += 1
-                if nbits == 6:
-                    out.append(acc + 63)
-                    acc = 0
-                    nbits = 0
-    else:
-        adj = [set(g.neighbors(j)) for j in range(n)]
-        for j in range(1, n):
-            aj = adj[j]
-            for i in range(j):
-                acc = acc << 1 | (i in aj)
-                nbits += 1
-                if nbits == 6:
-                    out.append(acc + 63)
-                    acc = 0
-                    nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
+    # pair (i, j), i < j, is bit j(j-1)/2 + i of the column-major upper
+    # triangle, six bits per byte, high bit first
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        idx = j * (j - 1) // 2 + i
+        body[idx // 6] |= 32 >> idx % 6
+    out.extend(b + 63 for b in body)
     return out.decode("ascii")
 
 
@@ -458,44 +379,14 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     need = (npairs + 5) // 6
     if len(body) != need:
         raise Graph6Error("TRUNCATED", f"expected {need} edge bytes for n={n}, got {len(body)}")
-    if n <= _BIG_N:
-        rows = [0] * n
-        idx = 0
-        for b in body:
-            val = b - 63
-            for shift in (5, 4, 3, 2, 1, 0):
-                if idx >= npairs:
-                    break
-                if val >> shift & 1:
-                    i, j = _pair_of_index(idx)
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                idx += 1
-        return Graph(n, rows=tuple(rows), name=name)
-    us, vs = [], []
-    idx = 0
-    for b in body:
-        val = b - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            if idx >= npairs:
-                break
-            if val >> shift & 1:
-                i, j = _pair_of_index(idx)
-                us.append(i)
-                vs.append(j)
-            idx += 1
-    return Graph.from_edge_arrays(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), name=name)
+    bits = (c for b in body for c in format(b - 63, "06b"))
+    return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"], name=name)
 
 
-def _pair_of_index(idx: int) -> tuple[int, int]:
-    # column-major upper triangle: x01, x02, x12, x03, x13, x23, ...
-    j = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    i = idx - j * (j - 1) // 2
-    return i, j
+def _upper_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Pairs i < j in graph6 bit order, the column-major upper triangle:
+    x01, x02, x12, x03, x13, x23, ..."""
+    return ((i, j) for j in range(1, n) for i in range(j))
 
 
 # -- edge-list text format ---------------------------------------------------
@@ -588,16 +479,10 @@ def canonical_key(rows: tuple[int, ...], n: int) -> int:
     return best
 
 
-def rows_from_key(key: int, n: int) -> tuple[int, ...]:
-    """Rebuild bit rows from a canonical upper-triangle certificate."""
-    total_bits = n * (n - 1) // 2
-    rows = [0] * n
-    for idx in range(total_bits):
-        if key >> (total_bits - 1 - idx) & 1:
-            i, j = _pair_of_index(idx)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return tuple(rows)
+def graph_from_key(key: int, n: int) -> Graph:
+    """Rebuild the graph of a canonical upper-triangle certificate."""
+    bits = format(key, f"0{n * (n - 1) // 2}b")
+    return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"])
 
 
 ENUM_MAX_N = 9
@@ -631,7 +516,7 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
     new = t - 1
     seen = set()
     for pkey in parents:
-        prows = rows_from_key(pkey, new)
+        prows = graph_from_key(pkey, new).bit_rows
         pdeg = [r.bit_count() for r in prows]
         at_deg = [0] * t  # at_deg[d]: parent vertices of degree d
         for i, d in enumerate(pdeg):
@@ -660,7 +545,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     vertices, in canonical-certificate order (deterministic across runs)."""
     if not 1 <= n <= ENUM_MAX_N:
         raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
-    graphs = (Graph(n, rows=rows_from_key(key, n)) for key in _all_graph_keys(n))
+    graphs = (graph_from_key(key, n) for key in _all_graph_keys(n))
     return [g for g in graphs if g.is_connected()]
 
 

@@ -194,12 +194,7 @@ def solve_cleaning(
     cfgs, _, sights, succs = _config_tables(g, k, l)
     t0, t1, t2, t3 = _nor_tables(g)
 
-    nconfigs = len(cfgs)
-    use_bitmap = (nconfigs << n) <= (1 << 27)
-    if use_bitmap:
-        visited = bytearray(((nconfigs << n) + 7) >> 3)
-    else:
-        visited = set()
+    visited = set()
     parents = {} if witness else None
 
     best_gas = n + 1
@@ -210,10 +205,7 @@ def solve_cleaning(
     for ci, s in enumerate(sights):
         gas0 = full & ~s
         key = ci << n | gas0     # distinct per placement, so never seen yet
-        if use_bitmap:
-            visited[key >> 3] |= 1 << (key & 7)
-        else:
-            visited.add(key)
+        visited.add(key)
         states += 1
         if parents is not None:
             parents[key] = None
@@ -263,15 +255,9 @@ def solve_cleaning(
                 )
                 gas2 = gas1 | (nb & ~s2)
                 key2 = c2 << n | gas2
-                if use_bitmap:
-                    b, bit = key2 >> 3, 1 << (key2 & 7)
-                    if visited[b] & bit:
-                        continue
-                    visited[b] |= bit
-                else:
-                    if key2 in visited:
-                        continue
-                    visited.add(key2)
+                if key2 in visited:
+                    continue
+                visited.add(key2)
                 states += 1
                 if parents is not None:
                     parents[key2] = key

@@ -193,7 +193,7 @@ class _RandomPursuit:
         # one row per searcher outcome that does not capture: the state it
         # leaves, its probability and the evader's replies, padded with m
         # (value -inf); the region is closed, so every reply lies inside it
-        width = 1 + max(bin(x).count("1") for x in rows)
+        width = 1 + max(x.bit_count() for x in rows)
         src, prob, replies = [], [], []
         for i, sid in enumerate(sids):
             c, r = divmod(sid, n)

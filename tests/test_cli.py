@@ -192,6 +192,12 @@ def test_construct_rejects_bad_spacing(capsys):
     assert "BAD_PARAM" in err
 
 
+def test_construct_above_vertex_cap(capsys):
+    code, out, err = run(capsys, "construct", "--k", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "girth-bound", "--json")
     assert code == 0

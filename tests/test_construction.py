@@ -15,7 +15,7 @@ from copclean.construction import (
     scripted_seeing_strategy,
     spacing_ok,
 )
-from copclean.errors import BadParamError
+from copclean.errors import BadParamError, UnsupportedSizeError
 
 ADVERSARIAL = ((0, 2), (1, 5), (3, 6), (4, 7))
 
@@ -57,6 +57,18 @@ def test_spec_defaults_and_validation():
         ConstructionSpec(k=2, m=8, partition=((0, 0), (1, 5), (3, 6), (4, 7))).resolved()
     with pytest.raises(BadParamError):
         ConstructionSpec(k=2, m=8, partition=((0, 9), (1, 5), (3, 6), (4, 7))).resolved()
+
+
+def test_spec_vertex_cap():
+    # n = 2k * (2^m + 1); the cap is 2^20 and is checked before any allocation
+    assert ConstructionSpec(k=1, m=18).resolved()[0] == 18     # 524,290 vertices
+    for spec in (ConstructionSpec(k=1, m=20), ConstructionSpec(k=2, m=20),
+                 ConstructionSpec(k=3), ConstructionSpec(k=1, m=10**12)):
+        with pytest.raises(UnsupportedSizeError):
+            spec.resolved()
+    with pytest.raises(UnsupportedSizeError) as e:
+        build_construction(ConstructionSpec(k=3))          # m=36: 6 * (2^36 + 1)
+    assert e.value.code == "UNSUPPORTED_SIZE"
 
 
 def test_default_partition_spacing():
@@ -111,9 +123,9 @@ def test_blocking_exhaustive_default_partition():
 
 def test_blocking_matches_literal_recount_small():
     # full literal pass over every ordered pair, no translation trick; the
-    # kernel's per-pair counts must agree too.  k=1 graphs are stored as bit
-    # rows, k=2, m=4 (68 vertices) as CSR.  No spaced 2-class partition of 4
-    # positions exists, so k=1, m=4 is built with bad spacing.
+    # kernel's per-pair counts must agree too.  The sizes fall on both sides
+    # of the 64-vertex limit of ``Graph.bit_rows``.  No spaced 2-class
+    # partition of 4 positions exists, so k=1, m=4 is built with bad spacing.
     for k, m, allow_bad, n in ((1, 2, False, 10), (1, 4, True, 34), (2, 4, False, 68)):
         cg = build(k=k, m=m, allow_bad=allow_bad)
         assert cg.graph.n == n

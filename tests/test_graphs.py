@@ -41,6 +41,17 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(BadParamError):
         Graph.from_edges(0, [])
+    # the same checks and messages above the 64-vertex bit-row limit
+    import numpy as np
+
+    for build in (Graph.from_edges,
+                  lambda n, e: Graph.from_edge_arrays(n, *np.array(e, dtype=np.int64).T)):
+        with pytest.raises(BadParamError, match=r"^self-loop at 0$"):
+            build(70, [(1, 2), (0, 0)])
+        with pytest.raises(VertexRangeError, match=r"^edge \(-1,5\) out of range for n=70$"):
+            build(70, [(-1, 5)])
+        with pytest.raises(VertexRangeError, match=r"^edge \(0,100\) out of range for n=70$"):
+            build(70, [(0, 100), (3, 3)])
 
 
 def test_closed_neighborhood():
@@ -219,11 +230,13 @@ def test_big_graph_uses_sparse_rows():
     d = g.bfs_dist(0)
     assert all(x >= 0 for x in d)
     assert parse_graph6(emit_graph6(g)) == g
+    with pytest.raises(UnsupportedSizeError):
+        g.bit_rows
 
 
 def test_closed_rows_both_storages():
     rng = random.Random(5)
-    for n in (12, 80):   # bit rows, then CSR
+    for n in (12, 80):   # either side of the 64-vertex limit of bit_rows
         g = random_connected(n, rng)
         rows = g.closed_rows(n - 2).tolist()
         assert len(rows) == n - 2
@@ -246,6 +259,8 @@ def graphs_strategy(draw):
 @given(graphs_strategy())
 def test_graph6_round_trip_property(g):
     assert parse_graph6(emit_graph6(g)) == g
+    rows = g.bit_rows
+    assert all(rows[v] == sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
