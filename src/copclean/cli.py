@@ -131,6 +131,8 @@ def cmd_clean_sim(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.check == "sampled" and args.samples < 1:
+        raise BadParamError("sampled blocking check needs samples >= 1")
     partition = None
     if args.partition:
         try:
@@ -479,6 +481,8 @@ def _suite_girth_bound(args):
 
 
 def _suite_construction(args):
+    if args.samples < 1:
+        raise BadParamError("sampled blocking check needs samples >= 1")
     out = {}
     cg12 = cons.build_construction(cons.ConstructionSpec(k=2, m=12))
     rep12 = cons.check_blocking(cg12, mode="exhaustive")

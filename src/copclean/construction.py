@@ -28,9 +28,7 @@ import numpy as np
 
 from .cleaning import StrategyScript
 from .errors import BadParamError, UnsupportedSizeError
-from .graphs import Graph
-
-MAX_VERTICES = 1 << 20   # k=2 with the default m=16 has 262,148
+from .graphs import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)

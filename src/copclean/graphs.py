@@ -28,6 +28,7 @@ from .errors import (
 
 _BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
+MAX_VERTICES = 1 << 20   # every graph; the paper's k=2, m=16 block graph has 262,148
 
 ACYCLIC = None        # girth sentinel
 DISCONNECTED = None   # diameter sentinel
@@ -59,9 +60,13 @@ class Graph:
 
     @staticmethod
     def from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray, name: str | None = None) -> "Graph":
-        """Build from parallel endpoint arrays; repeated edges collapse."""
+        """Build from parallel endpoint arrays; repeated edges collapse.
+        More than ``MAX_VERTICES`` vertices raise ``UnsupportedSizeError``
+        before anything is allocated."""
         if n < 1:
             raise BadParamError("graph needs at least one vertex")
+        if n > MAX_VERTICES:
+            raise UnsupportedSizeError(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         out = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
         bad = out | (us == vs)

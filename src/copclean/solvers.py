@@ -16,10 +16,14 @@ Three engines share this module:
   set of candidate robber locations, and the game is an AND-OR reachability
   problem over (positions, candidate-set) states with an AND node per move.
 
-Every capture answer, including the random chain's sure-capture region,
-comes from one retrograde kernel, ``_retrograde``: a bucketed backward pass
-over an AND-OR graph that yields both the winning region and the round
-counts.
+Every engine, the random chain in ``stochastic`` too, reads one shared
+bitmask layer: ``_config_tables`` enumerates the searcher configurations with
+their sight masks, closed neighbourhoods and joint moves, and ``_spread``
+gives the neighbour union of a vertex mask (the gas spread of the cleaning
+game, the evader's step in limited-sight capture).  Every capture answer,
+including the random chain's sure-capture region, comes from one retrograde
+kernel, ``_retrograde``: a bucketed backward pass over an AND-OR graph that
+yields both the winning region and the round counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -70,50 +74,54 @@ def _check_game_graph(g: Graph, max_n: int):
 # -- shared precomputation ---------------------------------------------------
 
 
-def _nor_tables(g: Graph):
-    """Byte-sliced tables so the neighbor-union of any vertex mask costs
-    four lookups."""
+def _spread(g: Graph):
+    """The gas-spread primitive: returns ``spread(mask)``, the union of the
+    neighbourhoods of the vertices in ``mask``.  It is two lookups, one per
+    half of the vertex ids, in tables of ``2^ceil(n/2)`` entries."""
     rows = g.bit_rows
-    n = g.n
-    tables = []
-    for bpos in range(4):
-        t = [0] * 256
-        base = bpos * 8
-        if base < n:
-            for byte in range(1, 256):
-                low = byte & -byte
-                idx = base + low.bit_length() - 1
-                rest = t[byte ^ low]
-                t[byte] = (rows[idx] if idx < n else 0) | rest
-        tables.append(t)
-    return tables
+    h = (g.n + 1) // 2
 
+    def table(base, bits):
+        t = [0] * (1 << bits)
+        for m in range(1, 1 << bits):
+            low = m & -m
+            t[m] = t[m ^ low] | rows[base + low.bit_length() - 1]
+        return t
 
-def _configs(n: int, k: int):
-    return list(itertools.combinations_with_replacement(range(n), k))
+    lo, hi = table(0, h), table(h, g.n - h)
+    low_bits = (1 << h) - 1
+
+    def spread(mask: int) -> int:
+        return lo[mask & low_bits] | hi[mask >> h]
+
+    return spread
 
 
 def _config_tables(g: Graph, k: int, l: int):
-    """Configs plus per-config sight masks and joint-move successor ranks."""
+    """Configs (multisets of k vertices) with their ranks and sight-l
+    masks; ``closed[v]``, v's closed neighbourhood mask; ``moves[c]``, the
+    successor rank of each joint step in ``itertools.product`` order (the
+    last searcher fastest); and ``succs[c]``, its distinct ranks ascending."""
     n = g.n
     rows = g.bit_rows
-    closed1 = [rows[v] | (1 << v) for v in range(n)]
+    closed = [rows[v] | (1 << v) for v in range(n)]
     sight1 = [g.closed_l_mask(v, l) for v in range(n)]
-    cfgs = _configs(n, k)
+    cfgs = list(itertools.combinations_with_replacement(range(n), k))
     rank = {c: i for i, c in enumerate(cfgs)}
     sights = []
+    moves = []
     succs = []
-    move_opts = [_mask_bits(closed1[v]) for v in range(n)]
+    move_opts = [_mask_bits(c) for c in closed]
     for cfg in cfgs:
         s = 0
         for v in cfg:
             s |= sight1[v]
         sights.append(s)
-        seen = set()
-        for prod in itertools.product(*(move_opts[v] for v in cfg)):
-            seen.add(rank[tuple(sorted(prod))])
-        succs.append(sorted(seen))
-    return cfgs, rank, sights, succs
+        mv = [rank[tuple(sorted(prod))]
+              for prod in itertools.product(*(move_opts[v] for v in cfg))]
+        moves.append(mv)
+        succs.append(sorted(set(mv)))
+    return cfgs, rank, sights, closed, moves, succs
 
 
 def _occ_mask(cfg) -> int:
@@ -138,7 +146,7 @@ class CleanSolve:
     witness: Optional[StrategyScript]
 
 
-def _witness_script(cfgs, closed1, parents, parent_key, final_cfg_rank, n, l) -> StrategyScript:
+def _witness_script(cfgs, closed, parents, parent_key, final_cfg_rank, n, l) -> StrategyScript:
     """Rebuild a playable script from the BFS parent chain.  Keys are
     after-spread states; the final transition to ``final_cfg_rank`` realizes
     the reported gas minimum."""
@@ -156,7 +164,7 @@ def _witness_script(cfgs, closed1, parents, parent_key, final_cfg_rank, n, l) ->
         dst = cfgs[b]
         matched = None
         for perm in itertools.permutations(dst):
-            if all(closed1[s] >> t & 1 for s, t in zip(src, perm)):
+            if all(closed[s] >> t & 1 for s, t in zip(src, perm)):
                 matched = perm
                 break
         turns.append(matched)
@@ -189,10 +197,8 @@ def solve_cleaning(
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    rows = g.bit_rows
-    closed1 = [rows[v] | (1 << v) for v in range(n)]
-    cfgs, _, sights, succs = _config_tables(g, k, l)
-    t0, t1, t2, t3 = _nor_tables(g)
+    cfgs, _, sights, closed, _, succs = _config_tables(g, k, l)
+    spread = _spread(g)
 
     visited = set()
     parents = {} if witness else None
@@ -224,7 +230,7 @@ def solve_cleaning(
             if pkey is None:
                 wit = StrategyScript(l=l, place=cfgs[crank], turns=())
             else:
-                wit = _witness_script(cfgs, closed1, parents, pkey, crank, n, l)
+                wit = _witness_script(cfgs, closed, parents, pkey, crank, n, l)
         return CleanSolve(
             k=k, l=l, min_gas=best_gas, max_clean=n - best_gas,
             reached_stop=None if stop_at is None else reached,
@@ -247,13 +253,7 @@ def solve_cleaning(
                     best_from = (key, c2)
                     if stop_at is not None and best_gas <= stop_at:
                         return result(True, False)
-                nb = (
-                    t0[gas1 & 255]
-                    | t1[(gas1 >> 8) & 255]
-                    | t2[(gas1 >> 16) & 255]
-                    | t3[(gas1 >> 24) & 255]
-                )
-                gas2 = gas1 | (nb & ~s2)
+                gas2 = gas1 | (spread(gas1) & ~s2)
                 key2 = c2 << n | gas2
                 if key2 in visited:
                     continue
@@ -373,19 +373,20 @@ def _retrograde(need, is_or, seeds, preds):
     return val
 
 
-def _pursuit_graph(n: int, rows, zones, succs):
+def _pursuit_graph(n: int, closed, zones, succs):
     """The pursuit game as ``_retrograde`` input ``(need, is_or, seeds,
     preds)``.  For config rank c and evader vertex r outside ``zones[c]``,
     node ``c * n + r`` has the pursuers to move (an OR node over their
     joint steps) and node ``size + c * n + r`` the evader to move after the
-    pursuers reached c (an AND node over its steps); other ids are unused.
+    pursuers reached c (an AND node over its steps in ``closed[r]``);
+    other ids are unused.
     A pursuer step that brings r into the zone captures, so such states
     are seeds won in one round.  Staying put is always safe for the
     evader, so captures happen only on pursuer steps.
     """
     full = (1 << n) - 1
     size = len(zones) * n
-    closed = [_mask_bits(rows[r] | 1 << r) for r in range(n)]
+    steps_of = [_mask_bits(m) for m in closed]
     need = [1] * size + [0] * size
     is_or = [1] * size + [0] * size
     preds = [()] * (2 * size)
@@ -401,7 +402,7 @@ def _pursuit_graph(n: int, rows, zones, succs):
             sid = base + r
             # evader states (c, r0) that can step to r; by symmetry of the
             # closed neighbourhood they are also the steps out of (c, r)
-            steps = [size + base + r0 for r0 in closed[r] if not zc >> r0 & 1]
+            steps = [size + base + r0 for r0 in steps_of[r] if not zc >> r0 & 1]
             preds[sid] = steps
             need[size + sid] = len(steps)
             # pursuer states (c0, r) stepping to c with r uncaught; only
@@ -448,11 +449,11 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, _, zones, succs = _config_tables(g, k, rho)
+    cfgs, _, zones, closed, _, succs = _config_tables(g, k, rho)
     nc = len(cfgs)
     if 2 * nc * n > budget:
         raise TooLargeError(f"pursuit space 2*{nc}*{n} exceeds budget {budget}", partial=None)
-    val = _retrograde(*_pursuit_graph(n, g.bit_rows, zones, succs))
+    val = _retrograde(*_pursuit_graph(n, closed, zones, succs))
     starts = [[c * n + r for r in _mask_bits(full & ~zones[c])] for c in range(nc)]
     best, best_cfg = _best_placement(cfgs, starts, val)
     return PursuitResult(
@@ -517,9 +518,9 @@ def limited_capture_solve(
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, _, sights, succs = _config_tables(g, k, l)
+    cfgs, _, sights, _, _, succs = _config_tables(g, k, l)
     occ = [_occ_mask(c) for c in cfgs]
-    t0, t1, t2, t3 = _nor_tables(g)
+    spread = _spread(g)
 
     def split(mask, sight):
         parts = []
@@ -532,13 +533,6 @@ def limited_capture_solve(
         if inv:
             parts.append(inv)
         return parts
-
-    def expand(mask, occ2):
-        nb = (
-            t0[mask & 255] | t1[(mask >> 8) & 255]
-            | t2[(mask >> 16) & 255] | t3[(mask >> 24) & 255]
-        )
-        return (mask | nb) & ~occ2
 
     # forward exploration into the AND-OR graph: an OR node per state, an
     # AND node per move over its branches; a move with no branches wins
@@ -581,7 +575,7 @@ def limited_capture_solve(
             if S0:
                 mid = split(S0, s2) if observe_after_cop_move else [S0]
                 for piece in mid:
-                    grown = expand(piece, o2)
+                    grown = (piece | spread(piece)) & ~o2
                     for part in split(grown, s2):
                         branch_ids.add(intern(c2, part))
             mv = len(need)

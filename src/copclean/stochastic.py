@@ -107,10 +107,10 @@ class _RandomPursuit:
         n = g.n
         self.n = n
         self.full = (1 << n) - 1
-        self.rows = rows = g.bit_rows
 
-        cfgs, rank, zones, succs = _config_tables(g, k, rho)
+        cfgs, rank, zones, closed, moves, succs = _config_tables(g, k, rho)
         self.cfgs = cfgs
+        self.closed = closed
         self.succs = succs
         self.zones = zones
         self.nc = len(cfgs)
@@ -122,10 +122,9 @@ class _RandomPursuit:
         # per config, one table from pick index to successor rank, and the
         # ranges that draw that index: per_cop picks one closed-neighborhood
         # option per searcher in config order (mixed radix, the last searcher
-        # fastest, as itertools.product runs); joint_multiset picks one
+        # fastest: the order of ``moves``); joint_multiset picks one
         # successor.  move_dist, the (successor rank, probability) list,
         # is the table's histogram, accumulated in table order.
-        closed_opts = [_mask_bits(rows[v] | (1 << v)) for v in range(n)]
         self.rank = rank
         self.move_table = []
         self.move_radix = []
@@ -135,9 +134,8 @@ class _RandomPursuit:
                 table = succs[ci]
                 sizes = [len(table)]
             else:
-                opt_lists = [closed_opts[v] for v in cfg]
-                table = [rank[tuple(sorted(prod))] for prod in itertools.product(*opt_lists)]
-                sizes = [len(ol) for ol in opt_lists]
+                table = moves[ci]
+                sizes = [closed[v].bit_count() for v in cfg]
             base = 1.0
             radix = []
             stride = len(table)
@@ -160,7 +158,7 @@ class _RandomPursuit:
     def _compute_sure_capture_region(self):
         n, size = self.n, self.nc * self.n
         # attractor for adversarial searchers (can they force capture?)
-        need, is_or, seeds, preds = _pursuit_graph(n, self.rows, self.zones, self.succs)
+        need, is_or, seeds, preds = _pursuit_graph(n, self.closed, self.zones, self.succs)
         won = _retrograde(need, is_or, seeds, preds)
         # searcher-to-move states the evader survives against any searcher
         # behavior, random or not; an evader holding these is never caught
@@ -183,7 +181,7 @@ class _RandomPursuit:
         evader's replies.  Returns the values, the largest Bellman residual
         ``|T v - v|`` over the region (an a-posteriori check of the values),
         and the number of policy evaluations."""
-        n, zones, rows, finite = self.n, self.zones, self.rows, self.finite_c
+        n, zones, closed, finite = self.n, self.zones, self.closed, self.finite_c
         sids = [s for s in range(self.nc * n) if finite[s] and not zones[s // n] >> s % n & 1]
         m = len(sids)
         if m > _PI_MAX_STATES:
@@ -193,14 +191,13 @@ class _RandomPursuit:
         # one row per searcher outcome that does not capture: the state it
         # leaves, its probability and the evader's replies, padded with m
         # (value -inf); the region is closed, so every reply lies inside it
-        width = 1 + max(x.bit_count() for x in rows)
+        width = max(x.bit_count() for x in closed)
         src, prob, replies = [], [], []
         for i, sid in enumerate(sids):
             c, r = divmod(sid, n)
-            closed_r = rows[r] | (1 << r)
             for c2, p in self.move_dist[c]:
                 if not zones[c2] >> r & 1:
-                    reps = [col[c2 * n + r2] for r2 in _mask_bits(closed_r & ~zones[c2])]
+                    reps = [col[c2 * n + r2] for r2 in _mask_bits(closed[r] & ~zones[c2])]
                     src.append(i)
                     prob.append(p)
                     replies.append(reps + [m] * (width - len(reps)))
@@ -377,7 +374,7 @@ def monte_carlo(
     n, nc = chain.n, chain.nc
     if horizon is None:
         horizon = 10 * n * n
-    rows, zones = chain.rows, chain.zones
+    closed, zones = chain.closed, chain.zones
 
     fixed_c = chain.best_placement(wc) if placement == "optimal" else None
 
@@ -408,7 +405,7 @@ def monte_carlo(
     start = [evader_pick(c, _mask_bits(chain.full & ~zones[c])) for c in range(nc)]
     reply = [
         -1 if zones[c] >> r & 1
-        else evader_pick(c, _mask_bits((rows[r] | (1 << r)) & ~zones[c]))
+        else evader_pick(c, _mask_bits(closed[r] & ~zones[c]))
         for c in range(nc) for r in range(n)
     ]
     table, radix = chain.move_table, chain.move_radix

@@ -175,7 +175,12 @@ def test_construct_adversarial_fails(capsys):
     assert d["blocking"]["passed"] is False and d["blocking"]["max_blocked"] == 2
 
 
-def test_blocking_samples_must_be_positive(capsys):
+def test_blocking_samples_must_be_positive(capsys, monkeypatch):
+    # a bad count is refused before any graph is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a construction before checking --samples")
+
+    monkeypatch.setattr("copclean.construction.build_construction", no_build)
     for argv in (("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", "0"),
                  ("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", "-5"),
                  ("verify", "--suite", "construction", "--samples", "-3")):
@@ -194,6 +199,14 @@ def test_construct_rejects_bad_spacing(capsys):
 
 def test_construct_above_vertex_cap(capsys):
     code, out, err = run(capsys, "construct", "--k", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
+
+
+def test_edge_list_above_vertex_cap(capsys, tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("0 10000000000\n")
+    code, out, err = run(capsys, "metrics", "--edges", str(big))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
 from copclean.graphs import (
+    MAX_VERTICES,
     Graph,
     _all_graph_keys,
     canonical_key,
@@ -41,6 +42,10 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(BadParamError):
         Graph.from_edges(0, [])
+    # at most MAX_VERTICES vertices
+    assert Graph.from_edges(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).degree(0) == 1
+    with pytest.raises(UnsupportedSizeError, match=f"above the cap of {MAX_VERTICES}$"):
+        Graph.from_edges(MAX_VERTICES + 1, [])
     # the same checks and messages above the 64-vertex bit-row limit
     import numpy as np
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -6,6 +8,7 @@ from copclean.errors import BadParamError, TooLargeError
 from copclean.families import complete, cycle, heawood, path, random_tree, spider, star
 from copclean.graphs import Graph, enumerate_connected, metrics
 from copclean.solvers import (
+    _spread,
     belief_capture_time,
     capture_number_limited,
     capture_possible_limited,
@@ -36,6 +39,24 @@ def test_cycle10_window():
     res = max_clean(cycle(10), 1, 1)
     assert res.max_clean == 4
     assert max_clean(path(8), 1, 1).max_clean == 8
+    # the 2l+2 window law on 26 vertices, the most the cleaning search takes
+    for l in (1, 2):
+        assert max_clean(cycle(26), 1, l).max_clean == 2 * l + 2
+
+
+def test_spread_is_neighbour_union():
+    rng = random.Random(10)
+    for n in range(1, 27):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        g = Graph.from_edges(n, edges)
+        spread = _spread(g)
+        for _ in range(50):
+            mask = rng.getrandbits(n)
+            want = 0
+            for v in range(n):
+                if mask >> v & 1:
+                    want |= g.bit_rows[v]
+            assert spread(mask) == want, (n, edges, mask)
 
 
 def test_cleaning_matches_oracle_exhaustive(small_connected):
@@ -215,15 +236,15 @@ def test_limited_capture_c4():
 
 
 def test_full_sight_degenerates_to_pursuit():
-    for n in range(2, 6):
-        for g in enumerate_connected(n):
-            diam = metrics(g).diameter
-            for k in (1, 2):
-                lc = limited_capture_solve(g, k, diam)
-                pc = pursuit_solve(g, k, 0)
-                assert lc.capture == pc.capture
-                if lc.capture:
-                    assert lc.capture_time == pc.capture_time
+    cases = [(g, k) for n in range(2, 6) for g in enumerate_connected(n) for k in (1, 2)]
+    # two games on more than 16 vertices, with spread tables of 2^11 and 2^12 entries
+    cases += [(cycle(24), 2), (random_tree(22, 5), 1)]
+    for g, k in cases:
+        lc = limited_capture_solve(g, k, metrics(g).diameter)
+        pc = pursuit_solve(g, k, 0)
+        assert lc.capture == pc.capture
+        if lc.capture:
+            assert lc.capture_time == pc.capture_time
 
 
 def test_belief_capture_time_cycle5():
