@@ -5,30 +5,34 @@ from __future__ import annotations
 import random
 
 from .errors import BadParamError
-from .graphs import Graph
+from .graphs import Graph, check_vertex_cap
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadParamError("cycle needs n >= 3")
+    check_vertex_cap(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], name=f"cycle:{n}")
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise BadParamError("path needs n >= 1")
+    check_vertex_cap(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], name=f"path:{n}")
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadParamError("complete graph needs n >= 1")
+    check_vertex_cap(n)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"complete:{n}")
 
 
 def star(leaves: int) -> Graph:
     if leaves < 1:
         raise BadParamError("star needs at least one leaf")
+    check_vertex_cap(leaves + 1)
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)], name=f"star:{leaves}")
 
 
@@ -36,6 +40,7 @@ def spider(legs: int, leg_len: int) -> Graph:
     """Central vertex 0 with ``legs`` disjoint paths of ``leg_len`` edges."""
     if legs < 1 or leg_len < 1:
         raise BadParamError("spider needs legs >= 1 and leg_len >= 1")
+    check_vertex_cap(legs * leg_len + 1)
     edges = []
     nxt = 1
     for _ in range(legs):
@@ -58,6 +63,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices from a Prufer sequence."""
     if n < 1:
         raise BadParamError("tree needs n >= 1")
+    check_vertex_cap(n)
     if n == 1:
         return Graph.from_edges(1, [], name=f"tree:{n}:{seed}")
     if n == 2:

@@ -30,6 +30,14 @@ _BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
 MAX_VERTICES = 1 << 20   # every graph; the paper's k=2, m=16 block graph has 262,148
 
+
+def check_vertex_cap(n: int) -> None:
+    """Refuse a graph of more than ``MAX_VERTICES`` vertices with
+    ``UnsupportedSizeError``; builders call it before they allocate."""
+    if n > MAX_VERTICES:
+        raise UnsupportedSizeError(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
+
+
 ACYCLIC = None        # girth sentinel
 DISCONNECTED = None   # diameter sentinel
 
@@ -65,8 +73,7 @@ class Graph:
         before anything is allocated."""
         if n < 1:
             raise BadParamError("graph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise UnsupportedSizeError(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
+        check_vertex_cap(n)
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         out = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
         bad = out | (us == vs)

@@ -18,12 +18,25 @@ Three engines share this module:
 
 Every engine, the random chain in ``stochastic`` too, reads one shared
 bitmask layer: ``_config_tables`` enumerates the searcher configurations with
-their sight masks, closed neighbourhoods and joint moves, and ``_spread``
+their sight masks, closed neighbourhoods and successor ranks, and ``_spread``
 gives the neighbour union of a vertex mask (the gas spread of the cleaning
-game, the evader's step in limited-sight capture).  Every capture answer,
-including the random chain's sure-capture region, comes from one retrograde
-kernel, ``_retrograde``: a bucketed backward pass over an AND-OR graph that
-yields both the winning region and the round counts.
+game, the evader's step in limited-sight capture).  ``_joint_moves``, the
+successor of every joint step in product order, is built only for the
+per-searcher random chain, the one reader that weighs steps.
+
+The layer keeps the tables of one graph: a slot holds the last ``Graph``
+passed in (by identity, with a strong reference) and what was built for it.
+A threshold's loop over k, or a sweep asking several questions of one
+class, builds each table once.  A call on another graph empties the slot,
+so the tables of at most one graph are retained: for it, the spread tables,
+one set of configuration tables per searcher count k and one sight table
+per (k, l) asked.  The tables are tuples: callers share them, so none may
+change them.
+
+Every capture answer, including the random chain's sure-capture region,
+comes from one retrograde kernel, ``_retrograde``: a bucketed backward pass
+over an AND-OR graph that yields both the winning region and the round
+counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -31,6 +44,7 @@ partial results rather than running away on oversized inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -73,7 +87,32 @@ def _check_game_graph(g: Graph, max_n: int):
 
 # -- shared precomputation ---------------------------------------------------
 
+# the one-graph slot: a Graph (held by identity) and the tables built for it
+_slot: tuple = (None, {})
 
+
+def _per_graph(build):
+    """Memoise ``build(g, *args)`` in the one-graph slot.  A call on the
+    graph the slot holds reuses its tables; a call on any other graph
+    empties the slot first, so at most one graph's tables are retained."""
+
+    @functools.wraps(build)
+    def cached(g: Graph, *args):
+        global _slot
+        slot = _slot   # read once: another thread may replace it meanwhile
+        if slot[0] is not g:
+            slot = _slot = (g, {})
+        tables = slot[1]
+        key = (build, *args)
+        out = tables.get(key)
+        if out is None:
+            out = tables[key] = build(g, *args)
+        return out
+
+    return cached
+
+
+@_per_graph
 def _spread(g: Graph):
     """The gas-spread primitive: returns ``spread(mask)``, the union of the
     neighbourhoods of the vertices in ``mask``.  It is two lookups, one per
@@ -86,7 +125,7 @@ def _spread(g: Graph):
         for m in range(1, 1 << bits):
             low = m & -m
             t[m] = t[m ^ low] | rows[base + low.bit_length() - 1]
-        return t
+        return tuple(t)
 
     lo, hi = table(0, h), table(h, g.n - h)
     low_bits = (1 << h) - 1
@@ -97,38 +136,76 @@ def _spread(g: Graph):
     return spread
 
 
-def _config_tables(g: Graph, k: int, l: int):
-    """Configs (multisets of k vertices) with their ranks and sight-l
-    masks; ``closed[v]``, v's closed neighbourhood mask; ``moves[c]``, the
-    successor rank of each joint step in ``itertools.product`` order (the
-    last searcher fastest); and ``succs[c]``, its distinct ranks ascending."""
+def _step_ranks(cfgs, closed, distinct):
+    """Per config, the ranks of the configs one joint step reaches: each
+    searcher moves within its closed neighbourhood.  ``distinct`` gives
+    them ascending without repeats, else one per ``itertools.product``
+    pick (the last searcher fastest).
+
+    A multiset is keyed by the sum of ``1 << v * w`` over its vertices,
+    ``w`` bits per vertex count, so the keys a step reaches are sums of one
+    option per searcher.  Configs come in ``combinations_with_replacement``
+    order, so ``parts[j]``, the sums over the first j searchers, is kept
+    until the j-th vertex changes."""
+    k = len(cfgs[0])
+    w = k.bit_length()
+    bit = [1 << v * w for v in range(len(closed))]
+    opts = [[bit[u] for u in _mask_bits(m)] for m in closed]
+    key_rank = {sum(bit[v] for v in cfg): i for i, cfg in enumerate(cfgs)}
+    parts = [[0]] + [None] * k
+    prev = (-1,) * k
+    out = []
+    for cfg in cfgs:
+        j = 0
+        while prev[j] == cfg[j]:
+            j += 1
+        for j in range(j, k):
+            o = opts[cfg[j]]
+            if distinct:
+                parts[j + 1] = {s + b for s in parts[j] for b in o}
+            else:
+                parts[j + 1] = [s + b for s in parts[j] for b in o]
+        ranks = map(key_rank.__getitem__, parts[k])
+        out.append(tuple(sorted(ranks) if distinct else ranks))
+        prev = cfg
+    return tuple(out)
+
+
+@_per_graph
+def _configs(g: Graph, k: int):
+    """Configs (multisets of k vertices) in
+    ``combinations_with_replacement`` order (a config's rank is its index),
+    ``closed[v]``, v's closed neighbourhood mask, and ``succs[c]``, the
+    ranks one joint step from config c reaches, ascending."""
     n = g.n
     rows = g.bit_rows
-    closed = [rows[v] | (1 << v) for v in range(n)]
-    sight1 = [g.closed_l_mask(v, l) for v in range(n)]
-    cfgs = list(itertools.combinations_with_replacement(range(n), k))
-    rank = {c: i for i, c in enumerate(cfgs)}
+    closed = tuple(rows[v] | 1 << v for v in range(n))
+    cfgs = tuple(itertools.combinations_with_replacement(range(n), k))
+    return cfgs, closed, _step_ranks(cfgs, closed, True)
+
+
+@_per_graph
+def _config_tables(g: Graph, k: int, l: int):
+    """``(cfgs, sights, closed, succs)``: ``_configs`` with ``sights[c]``,
+    the mask the searchers of config c see with sight l."""
+    cfgs, closed, succs = _configs(g, k)
+    sight1 = [g.closed_l_mask(v, l) for v in range(g.n)]
     sights = []
-    moves = []
-    succs = []
-    move_opts = [_mask_bits(c) for c in closed]
     for cfg in cfgs:
         s = 0
         for v in cfg:
             s |= sight1[v]
         sights.append(s)
-        mv = [rank[tuple(sorted(prod))]
-              for prod in itertools.product(*(move_opts[v] for v in cfg))]
-        moves.append(mv)
-        succs.append(sorted(set(mv)))
-    return cfgs, rank, sights, closed, moves, succs
+    return cfgs, tuple(sights), closed, succs
 
 
-def _occ_mask(cfg) -> int:
-    m = 0
-    for v in cfg:
-        m |= 1 << v
-    return m
+def _joint_moves(g: Graph, k: int):
+    """``moves[c]``: the successor rank of each joint step from config c in
+    ``itertools.product`` order over the searchers' closed neighbourhoods
+    (the last searcher fastest).  Only the per-searcher random chain reads
+    it, so it is built per call, not kept."""
+    cfgs, closed, _ = _configs(g, k)
+    return _step_ranks(cfgs, closed, False)
 
 
 # -- cleaning game -----------------------------------------------------------
@@ -197,7 +274,7 @@ def solve_cleaning(
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, _, sights, closed, _, succs = _config_tables(g, k, l)
+    cfgs, sights, closed, succs = _config_tables(g, k, l)
     spread = _spread(g)
 
     visited = set()
@@ -449,7 +526,7 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, _, zones, closed, _, succs = _config_tables(g, k, rho)
+    cfgs, zones, closed, succs = _config_tables(g, k, rho)
     nc = len(cfgs)
     if 2 * nc * n > budget:
         raise TooLargeError(f"pursuit space 2*{nc}*{n} exceeds budget {budget}", partial=None)
@@ -518,8 +595,8 @@ def limited_capture_solve(
     budget = _budget(state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, _, sights, _, _, succs = _config_tables(g, k, l)
-    occ = [_occ_mask(c) for c in cfgs]
+    cfgs, sights, _, succs = _config_tables(g, k, l)
+    occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices
     spread = _spread(g)
 
     def split(mask, sight):

@@ -40,6 +40,7 @@ from .solvers import (
     _budget,
     _check_game_graph,
     _config_tables,
+    _joint_moves,
     _pursuit_graph,
     _PURSUIT_MAX_N,
     _retrograde,
@@ -108,7 +109,7 @@ class _RandomPursuit:
         self.n = n
         self.full = (1 << n) - 1
 
-        cfgs, rank, zones, closed, moves, succs = _config_tables(g, k, rho)
+        cfgs, zones, closed, succs = _config_tables(g, k, rho)
         self.cfgs = cfgs
         self.closed = closed
         self.succs = succs
@@ -122,20 +123,18 @@ class _RandomPursuit:
         # per config, one table from pick index to successor rank, and the
         # ranges that draw that index: per_cop picks one closed-neighborhood
         # option per searcher in config order (mixed radix, the last searcher
-        # fastest: the order of ``moves``); joint_multiset picks one
+        # fastest: the order of ``_joint_moves``); joint_multiset picks one
         # successor.  move_dist, the (successor rank, probability) list,
         # is the table's histogram, accumulated in table order.
-        self.rank = rank
+        self.rank = {c: i for i, c in enumerate(cfgs)}
+        per_cop = move_model == "per_cop"
+        tables = _joint_moves(g, k) if per_cop else succs
         self.move_table = []
         self.move_radix = []
         self.move_dist = []
         for ci, cfg in enumerate(cfgs):
-            if move_model == "joint_multiset":
-                table = succs[ci]
-                sizes = [len(table)]
-            else:
-                table = moves[ci]
-                sizes = [closed[v].bit_count() for v in cfg]
+            table = tables[ci]
+            sizes = [closed[v].bit_count() for v in cfg] if per_cop else [len(table)]
             base = 1.0
             radix = []
             stride = len(table)

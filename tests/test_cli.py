@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,19 @@ def test_edge_list_above_vertex_cap(capsys, tmp_path):
     code, out, err = run(capsys, "metrics", "--edges", str(big))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
+
+
+def test_family_above_vertex_cap(capsys):
+    # refused before the 2^20-entry edge list is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "metrics", "--family", "cycle:1048577")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
+    assert peak < 1 << 20
 
 
 def test_verify_suite_pass(capsys):

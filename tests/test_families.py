@@ -1,8 +1,8 @@
 import pytest
 
-from copclean.errors import BadParamError
+from copclean.errors import BadParamError, UnsupportedSizeError
 from copclean.families import complete, cycle, from_spec, heawood, path, random_tree, spider, star
-from copclean.graphs import girth, metrics
+from copclean.graphs import MAX_VERTICES, girth, metrics
 
 
 def test_cycle():
@@ -91,3 +91,14 @@ def test_from_spec_passes_builder_errors():
                       ("spider:0:0", "spider needs legs >= 1 and leg_len >= 1")):
         with pytest.raises(BadParamError, match=msg):
             from_spec(spec)
+
+
+def test_builders_refuse_before_allocating():
+    # one vertex over the cap: each builder refuses before its edge list
+    # exists (complete:N alone would need N^2/2 pairs)
+    over = MAX_VERTICES + 1
+    for build in (lambda: cycle(over), lambda: path(over), lambda: complete(over),
+                  lambda: star(over - 1), lambda: spider(1, over - 1),
+                  lambda: random_tree(over, 0), lambda: from_spec(f"cycle:{over}")):
+        with pytest.raises(UnsupportedSizeError, match=f"above the cap of {MAX_VERTICES}$"):
+            build()

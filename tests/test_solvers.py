@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 import oracles
+from copclean import solvers
 from copclean.cleaning import run_script
 from copclean.errors import BadParamError, TooLargeError
 from copclean.families import complete, cycle, heawood, path, random_tree, spider, star
 from copclean.graphs import Graph, enumerate_connected, metrics
 from copclean.solvers import (
+    _config_tables,
+    _joint_moves,
     _spread,
     belief_capture_time,
     capture_number_limited,
@@ -22,6 +26,7 @@ from copclean.solvers import (
     seeing_number,
     solve_cleaning,
 )
+from copclean.stochastic import expected_time
 
 
 # -- cleaning thresholds -----------------------------------------------------------
@@ -57,6 +62,58 @@ def test_spread_is_neighbour_union():
                 if mask >> v & 1:
                     want |= g.bit_rows[v]
             assert spread(mask) == want, (n, edges, mask)
+
+
+def test_config_tables_match_brute_force(small_connected):
+    # the count-key successor sets against the tuple product they replace,
+    # and the per-searcher joint moves in product order (last searcher
+    # fastest)
+    for g in small_connected:
+        balls = [[u for u in range(g.n) if u == v or g.bit_rows[v] >> u & 1]
+                 for v in range(g.n)]
+        dist = [g.bfs_dist(v) for v in range(g.n)]
+        for k in (1, 2, 3):
+            moves = _joint_moves(g, k)
+            for l in (0, 1, 2):
+                cfgs, sights, closed, succs = _config_tables(g, k, l)
+                assert cfgs == tuple(itertools.combinations_with_replacement(range(g.n), k))
+                rank = {c: i for i, c in enumerate(cfgs)}
+                assert closed == tuple(sum(1 << u for u in b) for b in balls)
+                for c, cfg in enumerate(cfgs):
+                    picks = [rank[tuple(sorted(p))]
+                             for p in itertools.product(*(balls[v] for v in cfg))]
+                    assert succs[c] == tuple(sorted(set(picks))), (g.edges(), k, l, cfg)
+                    assert moves[c] == tuple(picks), (g.edges(), k, cfg)
+                    seen = [u for u in range(g.n) if min(dist[v][u] for v in cfg) <= l]
+                    assert sights[c] == sum(1 << u for u in seen)
+
+
+def test_tables_are_read_only():
+    tables = _config_tables(cycle(5), 2, 1)
+    cfgs, sights, closed, succs = tables
+    for table in (tables, cfgs, sights, closed, succs, succs[0], _joint_moves(cycle(5), 2)[0]):
+        assert isinstance(table, tuple)
+
+
+def test_table_reuse_matches_cold_calls():
+    # one graph's tables are kept between calls; interleaving two graphs
+    # must answer as fresh copies of them do, whose tables start cold
+    a, b = cycle(7), spider(3, 2)
+    calls = (
+        lambda g: max_clean(g, 2, 1, witness=True),
+        lambda g: pursuit_solve(g, 2, 0),
+        lambda g: limited_capture_solve(g, 2, 1),
+        lambda g: limited_capture_solve(g, 2, 1, observe_after_cop_move=False),
+        lambda g: seeing_number(g, 1, witness=True),
+        lambda g: expected_time(g, 2, 0),
+    )
+    want = {id(g): [repr(f(Graph.from_edges(g.n, g.edges()))) for f in calls] for g in (a, b)}
+    for g in (a, b, a):
+        assert [repr(f(g)) for f in calls] == want[id(g)]
+    for i, f in enumerate(calls):
+        for g in (a, b, a):
+            assert repr(f(g)) == want[id(g)][i]
+    assert solvers._slot[0] is a   # only the last graph's tables are kept
 
 
 def test_cleaning_matches_oracle_exhaustive(small_connected):

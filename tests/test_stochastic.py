@@ -9,7 +9,7 @@ from copclean import cli, stochastic
 from copclean.errors import BadParamError, TooLargeError
 from copclean.families import complete, cycle, path, star
 from copclean.graphs import Graph, enumerate_connected
-from copclean.solvers import _config_tables, cop_number
+from copclean.solvers import _config_tables, _joint_moves, cop_number
 from copclean.stochastic import _RandomPursuit, expected_time, monte_carlo
 
 # the four random-movement conventions on the 5-cycle with two searchers,
@@ -205,12 +205,12 @@ def test_move_table_is_the_move_distribution():
     # choice, and move_dist is that table's histogram
     for g, k, rho in ((cycle(5), 2, 0), (path(6), 1, 1), (complete(4), 3, 0)):
         chain = _RandomPursuit(g, k, rho, "per_cop")
-        *_, moves, succs = _config_tables(g, k, rho)
+        succs, moves = _config_tables(g, k, rho)[-1], _joint_moves(g, k)
         opts = [sorted([v] + [u for u in range(g.n) if g.bit_rows[v] >> u & 1])
                 for v in range(g.n)]
         for c, cfg in enumerate(chain.cfgs):
             table, radix = chain.move_table[c], chain.move_radix[c]
-            assert table == moves[c] and succs[c] == sorted(set(moves[c]))
+            assert table == moves[c] and list(succs[c]) == sorted(set(moves[c]))
             assert [len(rg) for rg in radix] == [len(opts[v]) for v in cfg]
             for digits in itertools.product(*(range(len(rg)) for rg in radix)):
                 pick = sum(rg[d] for rg, d in zip(radix, digits))
