@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import sys
 import time
+from collections import Counter
 
 from . import construction as cons
 from . import families, solvers, stochastic
@@ -288,6 +289,19 @@ def _check_ded_lipschitz(g, p):
     return {"inference_r0_to_r3": vals}, ok
 
 
+def _check_see_infer_gap(g, p):
+    # seeing - inference(r) lies in 0..r, as ded-lipschitz checks
+    see = solvers.seeing_number(g, p["l"]).value
+    gap = see - solvers.inference_number(g, p["l"], p["r"]).value
+    return {"seeing": see, "gap": gap}, 0 <= gap <= p["r"]
+
+
+def _check_single_cop_bound(g, p):
+    floor = min(g.n, metrics(g, p["l"]).max_l_degree + 2)
+    v = solvers.max_clean(g, 1, p["l"]).max_clean
+    return {"max_clean_1": v, "floor": floor}, v >= floor
+
+
 def _is_cycle(g) -> bool:
     return g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)) and g.is_connected()
 
@@ -324,6 +338,8 @@ SWEEP_CHECKS = {
     "reach": _check_reach,
     "chain": _check_chain,
     "ded-lipschitz": _check_ded_lipschitz,
+    "see-infer-gap": _check_see_infer_gap,
+    "single-cop-bound": _check_single_cop_bound,
     "girth-bound": _check_girth_bound,
     "clarke-probe": _check_clarke_probe,
 }
@@ -398,56 +414,34 @@ def _suite_thm_clean_8(args):
 
 
 def _run_enum_checks(args, check, params, n_max):
-    bad = []
-    total = 0
-    for rec in _sweep_records(check, params, 1, n_max, args.jobs):
-        total += 1
-        if not rec["ok"]:
-            bad.append(rec["graph6"])
-    return bad, total
+    """The failing graphs' graph6 codes and every record of ``check`` on n <= n_max."""
+    recs = list(_sweep_records(check, params, 1, n_max, args.jobs))
+    return [rec["graph6"] for rec in recs if not rec["ok"]], recs
 
 
 def _suite_ded_lipschitz(args):
-    bad, total = _run_enum_checks(args, "ded-lipschitz", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
-    return not bad, {"graphs": total, "failures": bad[:10]}
+    bad, recs = _run_enum_checks(args, "ded-lipschitz", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    return not bad, {"graphs": len(recs), "failures": bad[:10]}
 
 
 def _suite_see_infer_gap(args):
-    gaps = {}
-    bad = []
-    total = 0
-    for n in range(1, 8):
-        for g in enumerate_connected(n):
-            total += 1
-            see = solvers.seeing_number(g, 1).value
-            inf1 = solvers.inference_number(g, 1, 1).value
-            gap = see - inf1
-            gaps[gap] = gaps.get(gap, 0) + 1
-            if gap not in (0, 1):
-                bad.append(emit_graph6(g))
+    bad, recs = _run_enum_checks(args, "see-infer-gap", {"l": 1, "k": 1, "r": 1, "rho": 0}, 7)
     c5 = families.cycle(5)
     c5_gap = solvers.seeing_number(c5, 1).value - solvers.inference_number(c5, 1, 1).value
     ok = not bad and c5_gap == 1
-    return ok, {"graphs": total, "gap_histogram": gaps, "cycle5_gap": c5_gap, "failures": bad[:10]}
+    return ok, {"graphs": len(recs), "gap_histogram": Counter(rec["gap"] for rec in recs),
+                "cycle5_gap": c5_gap, "failures": bad[:10]}
 
 
 def _suite_single_cop_bound(args):
-    bad = []
-    total = 0
-    for n in range(1, 8):
-        for g in enumerate_connected(n):
-            total += 1
-            m = metrics(g, 1)
-            v = solvers.max_clean(g, 1, 1).max_clean
-            if v < min(g.n, m.max_l_degree + 2):
-                bad.append(emit_graph6(g))
-    return not bad, {"graphs": total, "failures": bad[:10],
+    bad, recs = _run_enum_checks(args, "single-cop-bound", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    return not bad, {"graphs": len(recs), "failures": bad[:10],
                      "claim": "one searcher holds at least min(n, max sight degree + 2) clean"}
 
 
 def _suite_chain(args):
-    bad, total = _run_enum_checks(args, "chain", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
-    return not bad, {"graphs": total, "failures": bad[:10],
+    bad, recs = _run_enum_checks(args, "chain", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    return not bad, {"graphs": len(recs), "failures": bad[:10],
                      "claim": "reach_1 <= cop_number, seeing_1 <= cop_number, "
                               "and cop_number <= sight-1 capture count on n<=5"}
 

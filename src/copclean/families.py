@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import BadParamError
-from .graphs import Graph, check_vertex_cap
+from .graphs import Graph, check_edge_cap, check_vertex_cap
 
 
 def cycle(n: int) -> Graph:
@@ -26,7 +28,9 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise BadParamError("complete graph needs n >= 1")
     check_vertex_cap(n)
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)], name=f"complete:{n}")
+    check_edge_cap(n * (n - 1) // 2)
+    us, vs = np.triu_indices(n, 1)
+    return Graph.from_edge_arrays(n, us, vs, name=f"complete:{n}")
 
 
 def star(leaves: int) -> Graph:

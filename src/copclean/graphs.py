@@ -29,6 +29,7 @@ from .errors import (
 _BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
 MAX_VERTICES = 1 << 20   # every graph; the paper's k=2, m=16 block graph has 262,148
+MAX_EDGES = 1 << 22      # every graph; that block graph has 3,407,878
 
 
 def check_vertex_cap(n: int) -> None:
@@ -36,6 +37,13 @@ def check_vertex_cap(n: int) -> None:
     ``UnsupportedSizeError``; builders call it before they allocate."""
     if n > MAX_VERTICES:
         raise UnsupportedSizeError(f"graph of {n} vertices is above the cap of {MAX_VERTICES}")
+
+
+def check_edge_cap(m: int) -> None:
+    """Refuse more than ``MAX_EDGES`` edges, as ``check_vertex_cap`` does
+    vertices; builders call it before they allocate."""
+    if m > MAX_EDGES:
+        raise UnsupportedSizeError(f"graph of {m} edges is above the cap of {MAX_EDGES}")
 
 
 ACYCLIC = None        # girth sentinel
@@ -69,11 +77,12 @@ class Graph:
     @staticmethod
     def from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray, name: str | None = None) -> "Graph":
         """Build from parallel endpoint arrays; repeated edges collapse.
-        More than ``MAX_VERTICES`` vertices raise ``UnsupportedSizeError``
-        before anything is allocated."""
+        More than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` endpoint pairs
+        raise ``UnsupportedSizeError`` before anything is allocated."""
         if n < 1:
             raise BadParamError("graph needs at least one vertex")
         check_vertex_cap(n)
+        check_edge_cap(len(us))
         us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
         out = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
         bad = out | (us == vs)
@@ -391,6 +400,7 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     need = (npairs + 5) // 6
     if len(body) != need:
         raise Graph6Error("TRUNCATED", f"expected {need} edge bytes for n={n}, got {len(body)}")
+    check_edge_cap(sum((b - 63).bit_count() for b in body))
     bits = (c for b in body for c in format(b - 63, "06b"))
     return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"], name=name)
 

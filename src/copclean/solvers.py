@@ -9,20 +9,23 @@ Three engines share this module:
   ``inference_number`` are this search with ``stop_at`` set, one call per
   searcher count; it is breadth first, so their witnesses are shortest plays.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
-  radius, solved by backward induction over cop-move/robber-move states
-  (``_pursuit_graph``, shared with the random-searcher chain in
-  ``stochastic``).
+  radius, solved by backward induction over cop-move/robber-move states.
+  ``_pursuit`` builds and solves that game; the random-searcher chain in
+  ``stochastic`` reads the same solved game.
 * ``limited_capture_solve`` handles capture under limited sight: cops track a
   set of candidate robber locations, and the game is an AND-OR reachability
   problem over (positions, candidate-set) states with an AND node per move.
 
-Every engine, the random chain in ``stochastic`` too, reads one shared
-bitmask layer: ``_config_tables`` enumerates the searcher configurations with
-their sight masks, closed neighbourhoods and successor ranks, and ``_spread``
-gives the neighbour union of a vertex mask (the gas spread of the cleaning
-game, the evader's step in limited-sight capture).  ``_joint_moves``, the
-successor of every joint step in product order, is built only for the
-per-searcher random chain, the one reader that weighs steps.
+Every engine, the random chain in ``stochastic`` too, enters through
+``_game``, which checks the searcher count, the radius, the vertex cap and
+connectivity, in that order, then resolves the state budget and reads one
+shared bitmask layer: ``_config_tables`` enumerates the searcher
+configurations with their sight masks, closed neighbourhoods and successor
+ranks, and ``_spread`` gives the neighbour union of a vertex mask (the gas
+spread of the cleaning game, the evader's step in limited-sight capture).
+``_joint_moves``, the successor of every joint step in product order, is
+built only for the per-searcher random chain, the one reader that weighs
+steps.
 
 The layer keeps the tables of one graph: a slot holds the last ``Graph``
 passed in (by identity, with a strong reference) and what was built for it.
@@ -30,8 +33,8 @@ A threshold's loop over k, or a sweep asking several questions of one
 class, builds each table once.  A call on another graph empties the slot,
 so the tables of at most one graph are retained: for it, the spread tables,
 one set of configuration tables per searcher count k and one sight table
-per (k, l) asked.  The tables are tuples: callers share them, so none may
-change them.
+per (k, l) asked, and whether the graph is connected.  The tables are
+tuples: callers share them, so none may change them.
 
 Every capture answer, including the random chain's sure-capture region,
 comes from one retrograde kernel, ``_retrograde``: a bucketed backward pass
@@ -76,13 +79,6 @@ def _budget(arg: Optional[int]) -> int:
     if arg < 1:
         raise BadParamError("state budget must be positive")
     return arg
-
-
-def _check_game_graph(g: Graph, max_n: int):
-    if g.n > max_n:
-        raise TooLargeError(f"solver handles up to {max_n} vertices, got {g.n}", partial=None)
-    if not g.is_connected():
-        raise BadParamError("solver expects a connected graph")
 
 
 # -- shared precomputation ---------------------------------------------------
@@ -208,6 +204,26 @@ def _joint_moves(g: Graph, k: int):
     return _step_ranks(cfgs, closed, False)
 
 
+@_per_graph
+def _connected(g: Graph) -> bool:
+    return g.is_connected()
+
+
+def _game(g: Graph, k: int, radius: int, max_n: int, state_budget: Optional[int],
+          who: str = "searcher", radius_kind: str = "sight"):
+    """Every engine's checks, then ``(budget, _config_tables(g, k, radius))``;
+    ``who`` and ``radius_kind`` name the players and the radius in messages."""
+    if k < 1:
+        raise BadParamError(f"need at least one {who}")
+    if radius < 0:
+        raise BadParamError(f"{radius_kind} radius must be >= 0")
+    if g.n > max_n:
+        raise TooLargeError(f"solver handles up to {max_n} vertices, got {g.n}", partial=None)
+    if not _connected(g):
+        raise BadParamError("solver expects a connected graph")
+    return _budget(state_budget), _config_tables(g, k, radius)
+
+
 # -- cleaning game -----------------------------------------------------------
 
 
@@ -266,15 +282,9 @@ def solve_cleaning(
     holds the bound certified so far (true min gas can only be lower, so
     partial.max_clean is a valid lower bound).
     """
-    if k < 1:
-        raise BadParamError("need at least one searcher")
-    if l < 0:
-        raise BadParamError("sight radius must be >= 0")
-    _check_game_graph(g, _CLEAN_MAX_N)
-    budget = _budget(state_budget)
+    budget, (cfgs, sights, closed, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, sights, closed, succs = _config_tables(g, k, l)
     spread = _spread(g)
 
     visited = set()
@@ -450,19 +460,29 @@ def _retrograde(need, is_or, seeds, preds):
     return val
 
 
-def _pursuit_graph(n: int, closed, zones, succs):
-    """The pursuit game as ``_retrograde`` input ``(need, is_or, seeds,
-    preds)``.  For config rank c and evader vertex r outside ``zones[c]``,
-    node ``c * n + r`` has the pursuers to move (an OR node over their
-    joint steps) and node ``size + c * n + r`` the evader to move after the
+def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
+             who: str = "pursuer", space: str = "pursuit"):
+    """The pursuit game, solved by one ``_retrograde`` pass: returns the
+    ``_game`` tables, the round counts and the predecessor lists.  ``who``
+    and ``space`` name the players and the state space in messages.
+
+    For config rank c and evader vertex r outside ``zones[c]``, node
+    ``c * n + r`` has the pursuers to move (an OR node over their joint
+    steps) and node ``size + c * n + r`` the evader to move after the
     pursuers reached c (an AND node over its steps in ``closed[r]``);
     other ids are unused.
     A pursuer step that brings r into the zone captures, so such states
     are seeds won in one round.  Staying put is always safe for the
     evader, so captures happen only on pursuer steps.
     """
+    budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
+    cfgs, zones, closed, succs = tables
+    n = g.n
+    size = len(cfgs) * n
+    if 2 * size > budget:
+        raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
+                            partial=None)
     full = (1 << n) - 1
-    size = len(zones) * n
     steps_of = [_mask_bits(m) for m in closed]
     need = [1] * size + [0] * size
     is_or = [1] * size + [0] * size
@@ -489,7 +509,7 @@ def _pursuit_graph(n: int, closed, zones, succs):
                 preds[size + sid] = [c0 * n + r for c0 in sc if not zones[c0] >> r & 1]
             else:
                 preds[size + sid] = [m + r for m in moved]
-    return need, is_or, seeds, preds
+    return tables, _retrograde(need, is_or, seeds, preds), preds
 
 
 def _best_placement(cfgs, starts, val):
@@ -518,34 +538,28 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     for it, so mid-game forced captures cannot happen).  Capture time counts
     pursuer rounds; placement capture is time 0.
     """
-    if k < 1:
-        raise BadParamError("need at least one pursuer")
-    if rho < 0:
-        raise BadParamError("capture radius must be >= 0")
-    _check_game_graph(g, _PURSUIT_MAX_N)
-    budget = _budget(state_budget)
-    n = g.n
-    full = (1 << n) - 1
-    cfgs, zones, closed, succs = _config_tables(g, k, rho)
-    nc = len(cfgs)
-    if 2 * nc * n > budget:
-        raise TooLargeError(f"pursuit space 2*{nc}*{n} exceeds budget {budget}", partial=None)
-    val = _retrograde(*_pursuit_graph(n, closed, zones, succs))
-    starts = [[c * n + r for r in _mask_bits(full & ~zones[c])] for c in range(nc)]
+    (cfgs, zones, _, _), val, _ = _pursuit(g, k, rho, state_budget)
+    n, full = g.n, (1 << g.n) - 1
+    starts = [[c * n + r for r in _mask_bits(full & ~zc)] for c, zc in enumerate(zones)]
     best, best_cfg = _best_placement(cfgs, starts, val)
     return PursuitResult(
         k=k, rho=rho, capture=best is not None,
-        capture_time=best, placement=best_cfg, states=2 * nc * n,
+        capture_time=best, placement=best_cfg, states=2 * len(cfgs) * n,
     )
+
+
+def _fewest(g: Graph, who: str, solve) -> int:
+    """The fewest k in 1..n for which ``solve(k)`` captures."""
+    for k in range(1, g.n + 1):
+        if solve(k).capture:
+            return k
+    raise BadParamError(f"unreachable: {who} on every vertex capture at placement")
 
 
 def reach_number(g: Graph, rho: int, state_budget: Optional[int] = None) -> int:
     """Fewest pursuers that can force themselves within distance rho of the
     evader."""
-    for k in range(1, g.n + 1):
-        if pursuit_solve(g, k, rho, state_budget=state_budget).capture:
-            return k
-    raise BadParamError("unreachable: pursuers on every vertex capture at placement")
+    return _fewest(g, "pursuers", lambda k: pursuit_solve(g, k, rho, state_budget))
 
 
 def cop_number(g: Graph, state_budget: Optional[int] = None) -> int:
@@ -587,15 +601,9 @@ def limited_capture_solve(
     Capture_time is the worst-case number of rounds under optimal play by
     both sides (evader picks worst branch), minimized over placements.
     """
-    if k < 1:
-        raise BadParamError("need at least one searcher")
-    if l < 0:
-        raise BadParamError("sight radius must be >= 0")
-    _check_game_graph(g, _CLEAN_MAX_N)
-    budget = _budget(state_budget)
+    budget, (cfgs, sights, _, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    cfgs, sights, _, succs = _config_tables(g, k, l)
     occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices
     spread = _spread(g)
 
@@ -678,10 +686,8 @@ def capture_possible_limited(g: Graph, k: int, l: int, **kw) -> bool:
 
 def capture_number_limited(g: Graph, l: int, state_budget: Optional[int] = None) -> int:
     """Fewest searchers with sight l that can guarantee capture."""
-    for k in range(1, g.n + 1):
-        if limited_capture_solve(g, k, l, state_budget=state_budget).capture:
-            return k
-    raise BadParamError("unreachable: searchers on every vertex capture at placement")
+    return _fewest(g, "searchers",
+                   lambda k: limited_capture_solve(g, k, l, state_budget=state_budget))
 
 
 def belief_capture_time(g: Graph, k: int, l: int, **kw) -> Optional[int]:

@@ -10,13 +10,13 @@ Expected values are computed exactly.  The almost-sure-capture region is
 found first: outside it the evader reaches, with positive probability, a
 state from which it can evade forever, so the expected time is infinite.
 It takes two passes of the solvers' one retrograde kernel, ``_retrograde``,
-over the pursuit graph: the adversarial attractor, then the states that can
-reach one outside it.  Inside the region, Howard policy iteration over the
-evader's replies gives the values.  There every evader policy yields a
-proper chain, so each evaluation ``(I - P) v = 1`` is nonsingular and the
-method ends after finitely many steps (R. A. Howard, *Dynamic Programming
-and Markov Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16,
-1991).  Wherever a choice is made, values within ``_TIE_REL`` count as equal.
+over the pursuit graph: the adversarial attractor, which is the pursuit game
+``solvers._pursuit`` solves, then the states that can reach one outside it.
+Inside the region, Howard policy iteration over the evader's replies gives
+the values.  There every evader policy yields a proper chain, so each
+evaluation ``(I - P) v = 1`` is nonsingular and the method ends after
+finitely many steps (R. A. Howard, *Dynamic Programming and Markov
+Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16, 1991).  Wherever a choice is made, values within ``_TIE_REL`` count as equal.
 
 Two move models are supported: each searcher independently uniform over its
 closed neighborhood ("per_cop"), or one uniform draw over the distinct
@@ -35,17 +35,7 @@ import numpy as np
 
 from .errors import BadParamError, TooLargeError
 from .graphs import Graph, _mask_bits
-from .solvers import (
-    NONE,
-    _budget,
-    _check_game_graph,
-    _config_tables,
-    _joint_moves,
-    _pursuit_graph,
-    _PURSUIT_MAX_N,
-    _retrograde,
-    limited_capture_solve,
-)
+from .solvers import NONE, _joint_moves, _pursuit, _retrograde, limited_capture_solve
 
 # relative gap below which two expected times count as equal: rounding in
 # the dense solve stays near 1e-15, far below it
@@ -97,28 +87,13 @@ class _RandomPursuit:
     """Shared state space and tables for the random-searcher chain."""
 
     def __init__(self, g: Graph, k: int, rho: int, move_model: str, state_budget=None):
-        if k < 1:
-            raise BadParamError("need at least one searcher")
-        if rho < 0:
-            raise BadParamError("capture radius must be >= 0")
         if move_model not in MOVE_MODELS:
             raise BadParamError(f"move model must be one of {MOVE_MODELS}")
-        _check_game_graph(g, _PURSUIT_MAX_N)
-        budget = _budget(state_budget)
-        n = g.n
-        self.n = n
+        tables, won, preds = _pursuit(g, k, rho, state_budget, "searcher", "chain")
+        self.cfgs, self.zones, self.closed, self.succs = cfgs, zones, closed, succs = tables
+        n = self.n = g.n
         self.full = (1 << n) - 1
-
-        cfgs, zones, closed, succs = _config_tables(g, k, rho)
-        self.cfgs = cfgs
-        self.closed = closed
-        self.succs = succs
-        self.zones = zones
         self.nc = len(cfgs)
-        if 2 * self.nc * n > budget:
-            raise TooLargeError(
-                f"chain space 2*{self.nc}*{n} exceeds budget {budget}", partial=None
-            )
 
         # per config, one table from pick index to successor rank, and the
         # ranges that draw that index: per_cop picks one closed-neighborhood
@@ -149,30 +124,23 @@ class _RandomPursuit:
             self.move_radix.append(radix)
             self.move_dist.append(sorted(acc.items()))
 
-        self._compute_sure_capture_region()
-
-    # deterministic evasion analysis: from which states can the evader
-    # reach, with positive chain probability, a state where it evades any
-    # searcher behavior forever?
-    def _compute_sure_capture_region(self):
-        n, size = self.n, self.nc * self.n
-        # attractor for adversarial searchers (can they force capture?)
-        need, is_or, seeds, preds = _pursuit_graph(n, self.closed, self.zones, self.succs)
-        won = _retrograde(need, is_or, seeds, preds)
-        # searcher-to-move states the evader survives against any searcher
+        # deterministic evasion analysis: ``won`` is the attractor for
+        # adversarial searchers (can they force capture?).  Searcher-to-move
+        # states outside it the evader survives against any searcher
         # behavior, random or not; an evader holding these is never caught
-        self.evade_c = [w == NONE for w in won[:size]]
+        half = self.nc * n   # searcher-to-move ids come first
+        self.evade_c = [w == NONE for w in won[:half]]
         # every searcher move has positive probability, so the evader reaches
         # an unwon state with positive probability from wherever it can
         # reach one at all: the OR-attractor of the unwon alive states
         alive = [
-            v for c, zc in enumerate(self.zones) for r in _mask_bits(self.full & ~zc)
-            for v in (c * n + r, size + c * n + r)
+            v for c, zc in enumerate(zones) for r in _mask_bits(self.full & ~zc)
+            for v in (c * n + r, half + c * n + r)
         ]
-        esc = _retrograde([1] * len(need), [1] * len(need),
+        esc = _retrograde([1] * len(won), [1] * len(won),
                           [(v, 0) for v in alive if won[v] == NONE], preds)
         # inside the complement, capture is almost sure and times are finite
-        self.finite_c = [e == NONE for e in esc[:size]]
+        self.finite_c = [e == NONE for e in esc[:half]]
 
     def policy_iteration(self):
         """Expected rounds to capture from searcher-to-move states (inf

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -223,6 +224,50 @@ def test_family_above_vertex_cap(capsys):
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("source", ["family", "graph6"])
+def test_graph_above_edge_cap(capsys, tmp_path, source):
+    # K3000 has 4,498,500 edges, above the 2^22 cap: refused before its pair
+    # list is built, from the family spec and from a graph6 record alike
+    if source == "family":
+        argv = ("--family", "complete:3000")
+    else:
+        size = "".join(chr(63 + (3000 >> s & 63)) for s in (12, 6, 0))
+        path = tmp_path / "k3000.g6"
+        path.write_text("~" + size + "~" * (3000 * 2999 // 12) + "\n")
+        argv = ("--in", str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "metrics", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "UNSUPPORTED_SIZE",
+                               "message": "graph of 4498500 edges is above the cap of 4194304"}
+    assert peak < 8 << 20
+
+
+# SHA-256 of the stdout; none of these prints a float, so the bytes do not
+# depend on the BLAS build or thread count
+GOLDEN = {
+    ("sweep", "--n-max", "6", "--check", "chain", "--json"):
+        "29473bc2335d26a29aaeb498ef575dc53068bbbc27add10735b0817e58b6b034",
+    ("sweep", "--n-max", "6", "--check", "reach", "--rho", "1", "--json"):
+        "2d6fa8205933ae61c98fb15c9ec6f352db5b1b9fe59f0fa1f3e425ce4c06200c",
+    ("verify", "--suite", "see-infer-gap", "--jobs", "2", "--json"):
+        "17d4c0b2f425f5decf06fad04e3e069447ef096f1b20c5bcf69df0341503c0e1",
+    ("verify", "--suite", "single-cop-bound", "--jobs", "2", "--json"):
+        "3d99a0d884c40c6463798a99e2dfd08977fb934b9c89974c74dcc63fcf1e7026",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_golden_output_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
 def test_verify_suite_pass(capsys):

@@ -1,12 +1,14 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
 from copclean.graphs import (
+    MAX_EDGES,
     MAX_VERTICES,
     Graph,
     _all_graph_keys,
@@ -46,9 +48,12 @@ def test_graph_rejects_bad_edges():
     assert Graph.from_edges(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).degree(0) == 1
     with pytest.raises(UnsupportedSizeError, match=f"above the cap of {MAX_VERTICES}$"):
         Graph.from_edges(MAX_VERTICES + 1, [])
+    # at most MAX_EDGES endpoint pairs, counted before anything is built
+    # (broadcast views: no storage behind the oversized arrays)
+    us, vs = np.broadcast_to(np.arange(2), (MAX_EDGES + 1, 2)).T
+    with pytest.raises(UnsupportedSizeError, match=f"above the cap of {MAX_EDGES}$"):
+        Graph.from_edge_arrays(2, us, vs)
     # the same checks and messages above the 64-vertex bit-row limit
-    import numpy as np
-
     for build in (Graph.from_edges,
                   lambda n, e: Graph.from_edge_arrays(n, *np.array(e, dtype=np.int64).T)):
         with pytest.raises(BadParamError, match=r"^self-loop at 0$"):
@@ -113,8 +118,6 @@ def test_graph6_errors():
 
 
 def test_graph6_emit_size_cap():
-    import numpy as np
-
     n = (1 << 18) + 1
     us = np.arange(n - 1, dtype=np.int64)
     g = Graph.from_edge_arrays(n, us, us + 1)

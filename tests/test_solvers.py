@@ -26,7 +26,7 @@ from copclean.solvers import (
     seeing_number,
     solve_cleaning,
 )
-from copclean.stochastic import expected_time
+from copclean.stochastic import expected_time, monte_carlo
 
 
 # -- cleaning thresholds -----------------------------------------------------------
@@ -214,6 +214,51 @@ def test_oversize_and_disconnected_rejected():
         cleanable(cycle(5), 2, -1)
     with pytest.raises(BadParamError):
         seeing_number(cycle(5), -1)
+
+
+# every engine: (call, player, radius kind, vertex cap, message at budget 10)
+_ENGINES = {
+    "solve_cleaning": (lambda g, k, r, b: solve_cleaning(g, k, r, state_budget=b),
+                       "searcher", "sight", 26, "state budget 10 exhausted (visited 16)"),
+    "pursuit_solve": (lambda g, k, r, b: pursuit_solve(g, k, r, state_budget=b),
+                      "pursuer", "capture", 64, "pursuit space 2*15*5 exceeds budget 10"),
+    "limited_capture_solve": (lambda g, k, r, b: limited_capture_solve(g, k, r, state_budget=b),
+                              "searcher", "sight", 26, "candidate-set space exceeds budget 10"),
+    "expected_time": (lambda g, k, r, b: expected_time(g, k, r, state_budget=b),
+                      "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 10"),
+    "monte_carlo": (lambda g, k, r, b: monte_carlo(g, k, r, trials=10, state_budget=b),
+                    "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 10"),
+}
+
+
+@pytest.mark.parametrize("case", ["k=0", "radius<0", "n>cap", "disconnected", "budget"])
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+def test_front_door_errors(engine, case):
+    # the checks run in this order: each case's input is also bad in every
+    # later respect (far is disconnected and above the cap)
+    call, who, kind, cap, budget_msg = _ENGINES[engine]
+    far = Graph.from_edges(cap + 1, [(0, 1)])
+    args, err, msg = {
+        "k=0": ((far, 0, -1, 10), BadParamError, f"need at least one {who}"),
+        "radius<0": ((far, 2, -1, 10), BadParamError, f"{kind} radius must be >= 0"),
+        "n>cap": ((far, 2, 0, 10), TooLargeError,
+                  f"solver handles up to {cap} vertices, got {cap + 1}"),
+        "disconnected": ((Graph.from_edges(4, [(0, 1), (2, 3)]), 2, 0, 10), BadParamError,
+                         "solver expects a connected graph"),
+        "budget": ((cycle(5), 2, 0, 10), TooLargeError, budget_msg),
+    }[case]
+    with pytest.raises(err) as e:
+        call(*args)
+    assert str(e.value) == msg
+
+
+def test_connectivity_checked_once_per_graph(monkeypatch):
+    calls = []
+    is_connected = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g) or is_connected(g))
+    g = cycle(5)
+    assert (seeing_number(g, 1).value, cop_number(g), capture_number_limited(g, 1)) == (2, 2, 2)
+    assert calls == [g]
 
 
 # -- pursuit -------------------------------------------------------------------
