@@ -54,7 +54,8 @@ def _add_graph_input(p: argparse.ArgumentParser):
                      help="edge list file, one 'u v' pair per line")
     grp.add_argument("--family", metavar="SPEC",
                      help="family spec such as cycle:5, path:8, complete:4, "
-                          "star:6, spider:3:2, tree:10:42, heawood")
+                          "star:6, spider:3:2, tree:10:42, heawood, petersen, "
+                          "grid:4:5 (rows:cols, row-major ids)")
 
 
 def _read_text(path: str) -> str:

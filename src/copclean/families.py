@@ -63,6 +63,26 @@ def heawood() -> Graph:
     return Graph.from_edges(14, edges, name="heawood")
 
 
+def petersen() -> Graph:
+    # outer 5-cycle 0..4, spokes i -> i+5, inner pentagram 5+i -> 5+(i+2)%5
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, edges, name="petersen")
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, row-major: vertex ``i * cols + j`` sits in row
+    i, column j."""
+    if rows < 1 or cols < 1:
+        raise BadParamError("grid needs rows >= 1 and cols >= 1")
+    check_vertex_cap(rows * cols)
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    us = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    vs = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return Graph.from_edge_arrays(rows * cols, us, vs, name=f"grid:{rows}:{cols}")
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices from a Prufer sequence."""
     if n < 1:
@@ -94,15 +114,17 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 _SPECS = {"cycle": (cycle, 1), "path": (path, 1), "complete": (complete, 1), "star": (star, 1),
-          "spider": (spider, 2), "heawood": (heawood, 0), "tree": (random_tree, 2)}
+          "spider": (spider, 2), "heawood": (heawood, 0), "petersen": (petersen, 0),
+          "grid": (grid, 2), "tree": (random_tree, 2)}
 
 
 def from_spec(spec: str) -> Graph:
     """Build a family member from a colon-separated spec string.
 
     Accepted forms: ``cycle:N``, ``path:N``, ``complete:N``, ``star:LEAVES``,
-    ``spider:LEGS:LEGLEN``, ``heawood``, ``tree:N:SEED``.  Integers the
-    builder rejects raise its own ``BadParamError``.
+    ``spider:LEGS:LEGLEN``, ``heawood``, ``petersen``, ``grid:ROWS:COLS``,
+    ``tree:N:SEED``.  Integers the builder rejects raise its own
+    ``BadParamError``.
     """
     kind, *params = spec.split(":")
     build, arity = _SPECS.get(kind, (None, -1))

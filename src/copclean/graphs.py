@@ -28,6 +28,10 @@ from .errors import (
 
 _BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
+# byte translations: a graph6 character to its six bits, six bits to their count
+_GRAPH6_CHARS = bytes(range(63, 127))
+_SIX_BITS = bytes.maketrans(_GRAPH6_CHARS, bytes(range(64)))
+_SET_BITS = bytes.maketrans(bytes(range(64)), bytes(b.bit_count() for b in range(64)))
 MAX_VERTICES = 1 << 20   # every graph; the paper's k=2, m=16 block graph has 262,148
 MAX_EDGES = 1 << 22      # every graph; that block graph has 3,407,878
 
@@ -373,9 +377,9 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
         data = data[10:]
     if not data:
         raise Graph6Error("TRUNCATED", "empty graph6 record")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise Graph6Error("INVALID_CHAR", f"byte {b} outside graph6 range 63..126")
+    bad = data.translate(None, _GRAPH6_CHARS)   # the bytes outside the range, in order
+    if bad:
+        raise Graph6Error("INVALID_CHAR", f"byte {bad[0]} outside graph6 range 63..126")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             if len(data) < 8:
@@ -400,9 +404,23 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     need = (npairs + 5) // 6
     if len(body) != need:
         raise Graph6Error("TRUNCATED", f"expected {need} edge bytes for n={n}, got {len(body)}")
-    check_edge_cap(sum((b - 63).bit_count() for b in body))
-    bits = (c for b in body for c in format(b - 63, "06b"))
-    return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"], name=name)
+    # six bits per byte, high bit first; pair (i, j), i < j, is bit
+    # j(j-1)/2 + i of the column-major upper triangle, and the bits past
+    # the last pair are padding, cleared here
+    six = bytearray(body.translate(_SIX_BITS))
+    pad = 6 * need - npairs
+    if pad:
+        six[-1] &= 64 - (1 << pad)
+    check_edge_cap(sum(six.translate(_SET_BITS)))
+    six = np.frombuffer(six, dtype=np.uint8)
+    rows = np.flatnonzero(six)
+    hit, col = np.nonzero(np.unpackbits(six[rows, None], axis=1)[:, 2:])
+    idx = rows[hit] * 6 + col
+    # column j holds the bits from ends[j - 1] = j(j-1)/2 up to ends[j], so
+    # j counts the ends at or below idx
+    ends = np.cumsum(np.arange(n, dtype=np.int64))
+    j = np.searchsorted(ends, idx, side="right")
+    return Graph.from_edge_arrays(n, idx - ends[j - 1], j, name=name)
 
 
 def _upper_pairs(n: int) -> Iterator[tuple[int, int]]:

@@ -8,21 +8,36 @@ Three engines share this module:
   search.  The thresholds ``cleanable``, ``seeing_number`` and
   ``inference_number`` are this search with ``stop_at`` set, one call per
   searcher count; it is breadth first, so their witnesses are shortest plays.
+  Its inner loop, once per successor, reads one keep mask per config (the
+  vertices the config leaves unseen, built once per call) and does the
+  spread's two table lookups inline.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
   radius, solved by backward induction over cop-move/robber-move states.
   ``_pursuit`` builds and solves that game; the random-searcher chain in
   ``stochastic`` reads the same solved game.
 * ``limited_capture_solve`` handles capture under limited sight: cops track a
   set of candidate robber locations, and the game is an AND-OR reachability
-  problem over (positions, candidate-set) states with an AND node per move.
+  problem over (positions, candidate-set) states.  A move from ``(c, S)`` to
+  config ``c2`` gets the AND node of its key ``(c2, S - occ[c2])``, one node
+  per distinct key, shared by every state making such a move.  Sharing
+  changes no answer: a move's branches are a function of its key alone (the
+  split, the evader's spread and the second split read only ``c2`` and
+  ``S - occ[c2]``), so moves with one key have one branch set, hence one
+  value in the least fixpoint (won iff every branch is, in the most rounds
+  of any branch).  Each OR state's successors then carry the same values as
+  with a node per move, and so do its own value and round count.  The
+  branches are interned when the key is first met, and a repeat key would
+  only meet states already interned, so states are numbered and counted as
+  with a node per move.
 
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
 connectivity, in that order, then resolves the state budget and reads one
 shared bitmask layer: ``_config_tables`` enumerates the searcher
 configurations with their sight masks, closed neighbourhoods and successor
-ranks, and ``_spread`` gives the neighbour union of a vertex mask (the gas
-spread of the cleaning game, the evader's step in limited-sight capture).
+ranks, and ``_spread`` gives the tables of the neighbour union of a vertex
+mask (the gas spread of the cleaning game, the evader's step in
+limited-sight capture), which both engines look up inline.
 ``_joint_moves``, the successor of every joint step in product order, is
 built only for the per-searcher random chain, the one reader that weighs
 steps.
@@ -110,9 +125,11 @@ def _per_graph(build):
 
 @_per_graph
 def _spread(g: Graph):
-    """The gas-spread primitive: returns ``spread(mask)``, the union of the
-    neighbourhoods of the vertices in ``mask``.  It is two lookups, one per
-    half of the vertex ids, in tables of ``2^ceil(n/2)`` entries."""
+    """The gas-spread primitive: ``(lo, hi, h)``, two tables of at most
+    ``2^ceil(n/2)`` entries from which ``lo[mask & (1 << h) - 1] |
+    hi[mask >> h]`` is the union of the neighbourhoods of the vertices in
+    ``mask``, one lookup per half of the vertex ids.  Callers do the two
+    lookups inline, in their inner loops, rather than through a call."""
     rows = g.bit_rows
     h = (g.n + 1) // 2
 
@@ -123,13 +140,7 @@ def _spread(g: Graph):
             t[m] = t[m ^ low] | rows[base + low.bit_length() - 1]
         return tuple(t)
 
-    lo, hi = table(0, h), table(h, g.n - h)
-    low_bits = (1 << h) - 1
-
-    def spread(mask: int) -> int:
-        return lo[mask & low_bits] | hi[mask >> h]
-
-    return spread
+    return table(0, h), table(h, g.n - h), h
 
 
 def _step_ranks(cfgs, closed, distinct):
@@ -285,7 +296,9 @@ def solve_cleaning(
     budget, (cfgs, sights, closed, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    spread = _spread(g)
+    lo, hi, h = _spread(g)
+    low = (1 << h) - 1
+    keep = [full & ~s for s in sights]   # what config c leaves unseen
 
     visited = set()
     parents = {} if witness else None
@@ -295,8 +308,7 @@ def solve_cleaning(
     states = 0
     frontier = []
 
-    for ci, s in enumerate(sights):
-        gas0 = full & ~s
+    for ci, gas0 in enumerate(keep):
         key = ci << n | gas0     # distinct per placement, so never seen yet
         visited.add(key)
         states += 1
@@ -332,16 +344,15 @@ def solve_cleaning(
         for key in frontier:
             gas = key & full
             for c2 in succs[key >> n]:
-                s2 = sights[c2]
-                gas1 = gas & ~s2
+                kp = keep[c2]
+                gas1 = gas & kp
                 pc = gas1.bit_count()
                 if pc < best_gas:
                     best_gas = pc
                     best_from = (key, c2)
                     if stop_at is not None and best_gas <= stop_at:
                         return result(True, False)
-                gas2 = gas1 | (spread(gas1) & ~s2)
-                key2 = c2 << n | gas2
+                key2 = c2 << n | gas1 | (lo[gas1 & low] | hi[gas1 >> h]) & kp
                 if key2 in visited:
                     continue
                 visited.add(key2)
@@ -605,7 +616,9 @@ def limited_capture_solve(
     n = g.n
     full = (1 << n) - 1
     occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices
-    spread = _spread(g)
+    free = [full & ~o for o in occ]
+    lo, hi, h = _spread(g)
+    low = (1 << h) - 1
 
     def split(mask, sight):
         parts = []
@@ -620,8 +633,10 @@ def limited_capture_solve(
         return parts
 
     # forward exploration into the AND-OR graph: an OR node per state, an
-    # AND node per move over its branches; a move with no branches wins
+    # AND node per distinct move key over its branches; a move with no
+    # branches wins
     state_id: dict[int, int] = {}   # state key -> node id
+    move_id: dict[int, int] = {}    # move key c2 << n | S & free[c2] -> node id
     need: list[int] = []
     is_or: list[int] = []
     preds: list = []
@@ -653,20 +668,25 @@ def limited_capture_solve(
         sid, key = stack.pop()
         c, S = key >> n, key & full
         for c2 in succs[c]:
-            o2 = occ[c2]
+            f2 = free[c2]
+            S0 = S & f2
+            mkey = c2 << n | S0
+            mv = move_id.get(mkey)
+            if mv is not None:
+                preds[mv].append(sid)
+                continue
             s2 = sights[c2]
-            S0 = S & ~o2
             branch_ids = set()
             if S0:
                 mid = split(S0, s2) if observe_after_cop_move else [S0]
                 for piece in mid:
-                    grown = (piece | spread(piece)) & ~o2
+                    grown = (piece | lo[piece & low] | hi[piece >> h]) & f2
                     for part in split(grown, s2):
                         branch_ids.add(intern(c2, part))
-            mv = len(need)
+            mv = move_id[mkey] = len(need)
             need.append(len(branch_ids))
             is_or.append(0)
-            preds.append((sid,))
+            preds.append([sid])
             for b in branch_ids:
                 preds[b].append(mv)
             if not branch_ids:

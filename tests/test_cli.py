@@ -215,15 +215,16 @@ def test_edge_list_above_vertex_cap(capsys, tmp_path):
 
 def test_family_above_vertex_cap(capsys):
     # refused before the 2^20-entry edge list is built
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "metrics", "--family", "cycle:1048577")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
-    assert peak < 1 << 20
+    for spec in ("cycle:1048577", "grid:1048577:1"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "metrics", "--family", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "", spec
+        assert json.loads(err)["error"] == "UNSUPPORTED_SIZE", spec
+        assert peak < 1 << 20, spec
 
 
 @pytest.mark.parametrize("source", ["family", "graph6"])

@@ -1,7 +1,8 @@
 import pytest
 
 from copclean.errors import BadParamError, UnsupportedSizeError
-from copclean.families import complete, cycle, from_spec, heawood, path, random_tree, spider, star
+from copclean.families import (complete, cycle, from_spec, grid, heawood, path, petersen,
+                               random_tree, spider, star)
 from copclean.graphs import MAX_VERTICES, girth, metrics
 
 
@@ -51,6 +52,29 @@ def test_heawood():
     assert m.connected
 
 
+def test_grid():
+    for rows, cols in ((1, 1), (1, 5), (4, 1), (3, 4), (5, 5)):
+        g = grid(rows, cols)
+        assert g.n == rows * cols
+        assert g.edge_count() == 2 * rows * cols - rows - cols
+        assert g.is_connected()
+    # row-major: vertex i * cols + j is row i, column j
+    g = grid(3, 4)
+    assert g.neighbors(0) == [1, 4] and g.neighbors(5) == [1, 4, 6, 9]
+    assert g.neighbors(11) == [7, 10]
+    with pytest.raises(BadParamError, match="grid needs rows >= 1 and cols >= 1"):
+        grid(0, 3)
+
+
+def test_petersen():
+    g = petersen()
+    m = metrics(g)
+    assert m.n == 10 and m.m == 15
+    assert m.min_degree == m.max_degree == 3
+    assert m.girth == 5
+    assert m.diameter == 2
+
+
 def test_random_tree_shape():
     for seed in range(10):
         g = random_tree(9, seed)
@@ -75,11 +99,14 @@ def test_from_spec():
     assert from_spec("star:5").n == 6
     assert from_spec("spider:4:3").n == 13
     assert from_spec("heawood").n == 14
+    assert from_spec("petersen") == petersen()
+    assert from_spec("grid:4:5") == grid(4, 5)
     assert from_spec("tree:10:3") == random_tree(10, 3)
 
 
 def test_from_spec_errors():
-    for bad in ("ring:5", "cycle", "cycle:x", "spider:3", "heawood:1", ""):
+    for bad in ("ring:5", "cycle", "cycle:x", "spider:3", "heawood:1", "petersen:10",
+                "grid:4", "grid:4:5:6", ""):
         with pytest.raises(BadParamError):
             from_spec(bad)
 
@@ -99,6 +126,7 @@ def test_builders_refuse_before_allocating():
     over = MAX_VERTICES + 1
     for build in (lambda: cycle(over), lambda: path(over), lambda: complete(over),
                   lambda: star(over - 1), lambda: spider(1, over - 1),
-                  lambda: random_tree(over, 0), lambda: from_spec(f"cycle:{over}")):
+                  lambda: random_tree(over, 0), lambda: grid(over, 1),
+                  lambda: grid(1 << 10, (1 << 10) + 1), lambda: from_spec(f"cycle:{over}")):
         with pytest.raises(UnsupportedSizeError, match=f"above the cap of {MAX_VERTICES}$"):
             build()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
+from copclean.families import complete
 from copclean.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -104,6 +105,39 @@ def test_graph6_round_trip_sizes():
     for n in (1, 2, 62, 63, 64, 100):
         g = random_connected(n, rng)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+def _graph6_edges_by_loop(record: str):
+    # the character-by-character decode the numpy one replaced: n < 63 only
+    n = ord(record[0]) - 63
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in record[1:])
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return sorted(p for p, b in zip(pairs, bits) if b == "1")
+
+
+def test_graph6_round_trip_random():
+    # n crosses the 62/63 size-prefix boundary; padding bits are ignored
+    rng = random.Random(13)
+    for n in range(1, 71):
+        for density in (0.1, 0.5, 0.9):
+            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+            g = Graph.from_edges(n, edges)
+            record = emit_graph6(g)
+            assert parse_graph6(record) == g, (n, density)
+            assert parse_graph6(record.encode()) == g
+            pad = -(n * (n - 1) // 2) % 6
+            if pad:
+                padded = record[:-1] + chr(ord(record[-1]) | (1 << pad) - 1)
+                assert parse_graph6(padded) == g, (n, density)
+            if n < 63:
+                assert sorted(g.edges()) == _graph6_edges_by_loop(record)
+
+
+def test_graph6_complete_2000():
+    # every bit set, the two padding bits too: the record is K2000
+    n = 2000
+    record = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)) + "~" * 333_167
+    assert parse_graph6(record) == complete(n)
 
 
 def test_graph6_errors():

@@ -7,7 +7,7 @@ import oracles
 from copclean import solvers
 from copclean.cleaning import run_script
 from copclean.errors import BadParamError, TooLargeError
-from copclean.families import complete, cycle, heawood, path, random_tree, spider, star
+from copclean.families import complete, cycle, grid, heawood, path, random_tree, spider, star
 from copclean.graphs import Graph, enumerate_connected, metrics
 from copclean.solvers import (
     _config_tables,
@@ -54,14 +54,14 @@ def test_spread_is_neighbour_union():
     for n in range(1, 27):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         g = Graph.from_edges(n, edges)
-        spread = _spread(g)
+        lo, hi, h = _spread(g)
         for _ in range(50):
             mask = rng.getrandbits(n)
             want = 0
             for v in range(n):
                 if mask >> v & 1:
                     want |= g.bit_rows[v]
-            assert spread(mask) == want, (n, edges, mask)
+            assert lo[mask & (1 << h) - 1] | hi[mask >> h] == want, (n, edges, mask)
 
 
 def test_config_tables_match_brute_force(small_connected):
@@ -347,6 +347,24 @@ def test_full_sight_degenerates_to_pursuit():
         assert lc.capture == pc.capture
         if lc.capture:
             assert lc.capture_time == pc.capture_time
+
+
+@pytest.mark.parametrize("rows, cols, observe, want", [
+    (3, 4, True, (3, 1538, (0, 9))), (3, 4, False, (3, 2152, (0, 9))),
+    (3, 5, True, (4, 4244, (0, 11))), (3, 5, False, (4, 7524, (0, 11))),
+    (4, 4, True, (5, 5708, (0, 2))), (4, 4, False, (7, 11178, (1, 7))),
+], ids=[f"{g}-{mode}" for g in ("3x4", "3x5", "4x4") for mode in ("observe", "no-observe")])
+def test_limited_capture_grid_pins(rows, cols, observe, want):
+    # (capture_time, states, placement) with two searchers of sight 1 on
+    # row-major grids: states and placement pin the AND-OR graph's
+    # interning order, not only the game value
+    res = limited_capture_solve(grid(rows, cols), 2, 1, observe_after_cop_move=observe)
+    assert (res.capture_time, res.states, res.placement) == want
+
+
+def test_max_clean_grid5x5_pin():
+    res = max_clean(grid(5, 5), 2, 1)
+    assert (res.max_clean, res.states) == (25, 83_020)
 
 
 def test_belief_capture_time_cycle5():
