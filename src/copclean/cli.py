@@ -133,8 +133,11 @@ def cmd_clean_sim(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.check == "sampled" and args.samples < 1:
-        raise BadParamError("sampled blocking check needs samples >= 1")
+    if args.check == "sampled":
+        # refused before the build, which takes seconds at m=16
+        if args.samples < 1:
+            raise BadParamError("sampled blocking check needs samples >= 1")
+        stochastic._check_seed(args.seed)
     partition = None
     if args.partition:
         try:

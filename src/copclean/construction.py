@@ -20,7 +20,6 @@ actual adjacency, exhaustively via translation classes or by sampling.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +28,7 @@ import numpy as np
 from .cleaning import StrategyScript
 from .errors import BadParamError, UnsupportedSizeError
 from .graphs import MAX_VERTICES, Graph
+from .stochastic import _seeded_rng
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,11 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
     us_parts.append(np.asarray(hub_u, dtype=np.int64))
     vs_parts.append(np.asarray(hub_v, dtype=np.int64))
 
-    g = Graph.from_edge_arrays(
-        n, np.concatenate(us_parts), np.concatenate(vs_parts),
-        name=f"construction:k={spec.k}:m={m}",
-    )
+    # the parts are dropped before the build: kept, they would hold a second
+    # copy of both endpoint arrays (54 MB at m=16) through it
+    us, vs = np.concatenate(us_parts), np.concatenate(vs_parts)
+    del us_parts, vs_parts
+    g = Graph.from_edge_arrays(n, us, vs, name=f"construction:k={spec.k}:m={m}")
     cls_of = {}
     for ci, cls in enumerate(partition):
         for q in cls:
@@ -255,6 +256,21 @@ def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.nd
     return counts
 
 
+def _sample_pairs(outside: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` ordered pairs of distinct vertices below ``outside``,
+    each uniform over all such pairs, as (evaders, searchers) arrays.
+
+    One generator, ``_seeded_rng(seed)``, makes two draws: every evader,
+    then every offset ``off`` below ``outside - 1``.  The searcher is
+    ``(ev + 1 + off) % outside``, uniform over the vertices other than the
+    evader, so no draw is rejected.  A negative seed raises
+    ``BadParamError``."""
+    rng = _seeded_rng(seed)
+    evaders = rng.integers(outside, size=samples)
+    offsets = rng.integers(outside - 1, size=samples)
+    return evaders, (evaders + 1 + offsets) % outside
+
+
 def check_blocking(
     cg: ConstructionGraph,
     mode: str = "exhaustive",
@@ -274,8 +290,11 @@ def check_blocking(
     Exhaustive mode walks translation classes: shifting every residue by a
     constant is an automorphism (all edges depend on residue differences
     only), so pinning the evader's residue at 0 covers every pair; the
-    reported pair count is the full ordered total.  Sampled mode draws
-    ``samples`` seeded random pairs (at least one) and checks them directly.
+    reported pair count is the full ordered total.  Sampled mode checks
+    ``samples`` (at least one) random pairs from ``_sample_pairs``: one PCG64
+    generator seeded with ``seed`` draws every evader, then every offset to
+    its searcher, which makes each pair uniform over the ordered pairs of
+    distinct outside vertices.
     """
     outside = cg.blocks << cg.m
     if mode == "exhaustive":
@@ -289,18 +308,7 @@ def check_blocking(
     elif mode == "sampled":
         if samples < 1:
             raise BadParamError("sampled blocking check needs samples >= 1")
-        rng = random.Random(seed)
-        draw = rng.randrange
-        ev_list, se_list = [], []
-        for _ in range(samples):
-            ev = draw(outside)
-            se = draw(outside)
-            while se == ev:
-                se = draw(outside)
-            ev_list.append(ev)
-            se_list.append(se)
-        evaders = np.array(ev_list, dtype=np.int64)
-        searchers = np.array(se_list, dtype=np.int64)
+        evaders, searchers = _sample_pairs(outside, samples, seed)
         checked, extra = samples, {"samples": samples, "seed": seed}
     else:
         raise BadParamError("mode must be 'exhaustive' or 'sampled'")

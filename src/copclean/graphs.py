@@ -28,9 +28,11 @@ from .errors import (
 
 _BIT_ROWS_MAX_N = 64
 _GRAPH6_MAX_N = 1 << 18
-# byte translations: a graph6 character to its six bits, six bits to their count
+# byte translations: a graph6 character to its six bits and back, six bits
+# to their count
 _GRAPH6_CHARS = bytes(range(63, 127))
 _SIX_BITS = bytes.maketrans(_GRAPH6_CHARS, bytes(range(64)))
+_SIX_CHARS = bytes.maketrans(bytes(range(64)), _GRAPH6_CHARS)
 _SET_BITS = bytes.maketrans(bytes(range(64)), bytes(b.bit_count() for b in range(64)))
 MAX_VERTICES = 1 << 20   # every graph; the paper's k=2, m=16 block graph has 262,148
 MAX_EDGES = 1 << 22      # every graph; that block graph has 3,407,878
@@ -363,13 +365,17 @@ def emit_graph6(g: Graph) -> str:
     for i, j in g.edges():
         idx = j * (j - 1) // 2 + i
         body[idx // 6] |= 32 >> idx % 6
-    out.extend(b + 63 for b in body)
+    out += body.translate(_SIX_CHARS)
     return out.decode("ascii")
 
 
 def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     if isinstance(s, str):
-        data = s.encode("ascii", errors="replace")
+        try:
+            data = s.encode("ascii")
+        except UnicodeEncodeError as e:
+            raise Graph6Error("INVALID_CHAR", f"character {s[e.start]!r} outside graph6 "
+                                              "range 63..126") from None
     else:
         data = bytes(s)
     data = data.strip()

@@ -21,13 +21,17 @@ Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16, 1991).  Wherever 
 Two move models are supported: each searcher independently uniform over its
 closed neighborhood ("per_cop"), or one uniform draw over the distinct
 joint position multisets ("joint_multiset").
+
+The Monte Carlo cross-check, ``monte_carlo``, draws from one PCG64 generator
+per call, seeded with the caller's seed.  It runs its trials in lockstep with
+numpy, a fixed-size chunk at a time: each round is one bounded draw per live
+trial, in trial order, then two table gathers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +48,23 @@ _TIE_REL = 1e-9
 # (328 MB at the cap) and the solver copies it once; Heawood with k=3 has
 # 6,370 states
 _PI_MAX_STATES = 6_400
+# trials simulated in lockstep: bounds the per-round arrays whatever
+# ``trials`` is
+_MC_CHUNK = 1 << 16
+
+
+def _check_seed(seed: int) -> None:
+    """A negative seed raises ``BadParamError``: numpy's generators take
+    none.  Callers that do work before they draw check the seed first."""
+    if seed < 0:
+        raise BadParamError(f"seed must be >= 0, got {seed}")
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator every sampler draws from: numpy's PCG64 seeded with
+    ``seed``.  A negative seed raises ``BadParamError``."""
+    _check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 def _exceeds(a, b):
@@ -95,33 +116,26 @@ class _RandomPursuit:
         self.full = (1 << n) - 1
         self.nc = len(cfgs)
 
-        # per config, one table from pick index to successor rank, and the
-        # ranges that draw that index: per_cop picks one closed-neighborhood
-        # option per searcher in config order (mixed radix, the last searcher
-        # fastest: the order of ``_joint_moves``); joint_multiset picks one
-        # successor.  move_dist, the (successor rank, probability) list,
-        # is the table's histogram, accumulated in table order.
-        self.rank = {c: i for i, c in enumerate(cfgs)}
+        # per config, one table from pick index to successor rank, each
+        # index equally likely: per_cop picks one closed-neighborhood option
+        # per searcher in config order (``_joint_moves``' product order, the
+        # last searcher fastest), so a uniform index is an independent
+        # uniform pick per searcher; joint_multiset picks one successor.
+        # move_dist, the (successor rank, probability) list, is the table's
+        # histogram, accumulated in table order.
         per_cop = move_model == "per_cop"
         tables = _joint_moves(g, k) if per_cop else succs
         self.move_table = []
-        self.move_radix = []
         self.move_dist = []
         for ci, cfg in enumerate(cfgs):
             table = tables[ci]
-            sizes = [closed[v].bit_count() for v in cfg] if per_cop else [len(table)]
             base = 1.0
-            radix = []
-            stride = len(table)
-            for size in sizes:
+            for size in ([closed[v].bit_count() for v in cfg] if per_cop else [len(table)]):
                 base /= size
-                stride //= size
-                radix.append(range(0, size * stride, stride))
             acc: dict[int, float] = {}
             for r2 in table:
                 acc[r2] = acc.get(r2, 0.0) + base
             self.move_table.append(table)
-            self.move_radix.append(radix)
             self.move_dist.append(sorted(acc.items()))
 
         # deterministic evasion analysis: ``won`` is the attractor for
@@ -193,6 +207,38 @@ class _RandomPursuit:
         for sid, x in zip(sids, v[:m].tolist()):
             wc[sid] = x
         return wc, residual, iters
+
+    def greedy_evader(self, wc):
+        """``(start, reply)`` for the Monte Carlo adversary: ``start[c]``,
+        its placement against config c; ``reply[c*n + r]``, its move from r
+        after the searchers step to c (-1: captured).  It is deterministic:
+        provably safe spots first (never captured from there), then
+        positive-escape-chance spots, then the largest expected time within
+        ``_TIE_REL``; options ascend, so ties go to the lowest vertex id."""
+        n, closed, zones, evade_c = self.n, self.closed, self.zones, self.evade_c
+
+        def pick(c: int, options) -> int:
+            if not options:
+                return -1
+            safe_opts = [r for r in options if evade_c[c * n + r]]
+            if safe_opts:
+                return min(safe_opts)
+            inf_opts = [r for r in options if math.isinf(wc[c * n + r])]
+            if inf_opts:
+                return min(inf_opts)
+            best_r, best_v = -1, -1.0
+            for r in options:
+                v = wc[c * n + r]
+                if _exceeds(v, best_v):
+                    best_r, best_v = r, v
+            return best_r
+
+        start = [pick(c, _mask_bits(self.full & ~zones[c])) for c in range(self.nc)]
+        reply = [
+            -1 if zones[c] >> r & 1 else pick(c, _mask_bits(closed[r] & ~zones[c]))
+            for c in range(self.nc) for r in range(n)
+        ]
+        return start, reply
 
     def placement_value(self, c: int, wc) -> float:
         safe = _mask_bits(self.full & ~self.zones[c])
@@ -315,20 +361,23 @@ def monte_carlo(
     state_budget: Optional[int] = None,
 ) -> MonteCarloResult:
     """Simulate the random-searcher chain against a greedy adversary driven
-    by the exact analysis of ``expected_time`` (prefers provably safe spots,
-    then spots with infinite expected time, then the largest finite value;
-    values within ``_TIE_REL`` of the best so far are ties, which go to the
-    lowest vertex id).  The optimal placement is ``expected_time``'s.
+    by the exact analysis of ``expected_time`` (``greedy_evader``: provably
+    safe spots first, then spots with infinite expected time, then the
+    largest finite value, ties to the lowest vertex id).  The optimal
+    placement is ``expected_time``'s.  A trial still running after
+    ``horizon`` rounds counts as not captured.
 
-    Reproducibility: trial ``i`` draws from its own
-    ``random.Random(f"{seed}:{i}")``, so any trial can be reproduced alone
-    and a seed fixes the whole result.  Under uniform placement the trial
-    first draws ``randrange(n)`` once per searcher.  Each round then makes
-    one ``choice`` per searcher in configuration order over its closed
-    neighborhood ("per_cop"), or one ``choice`` over the distinct successor
-    configurations ("joint_multiset").  The greedy evader is deterministic,
-    so its replies are tabulated once per call, and a round is those draws
-    plus two table lookups.
+    Reproducibility: every draw comes from one PCG64 generator per call,
+    ``_seeded_rng(seed)``, so a seed fixes the whole result; a negative seed
+    raises ``BadParamError``.  Trials run in lockstep, ``_MC_CHUNK`` at a
+    time, chunk after chunk.  Under uniform placement a chunk first draws k
+    vertices per trial, trial by trial.  Each round then makes one bounded
+    ``integers`` draw per live trial, in trial order: a uniform index into
+    the config's move table, ``_RandomPursuit.move_table``.  The greedy
+    evader is deterministic, so its replies are tabulated once per call,
+    and a round is that draw plus two gathers, one into the move tables and
+    one into the replies.  ``mean_time`` and ``stderr`` come from the exact
+    integer sums of t and t*t over the captured trials.
     """
     if trials < 1:
         raise BadParamError("need at least one trial")
@@ -336,81 +385,60 @@ def monte_carlo(
         raise BadParamError(f"placement must be one of {PLACEMENTS}")
     if horizon is not None and horizon < 1:
         raise BadParamError("horizon must be at least one round")
+    rng = _seeded_rng(seed)
     chain = _RandomPursuit(g, k, rho, move_model, state_budget=state_budget)
     wc, _, _ = chain.policy_iteration()
-    n, nc = chain.n, chain.nc
+    n = chain.n
     if horizon is None:
         horizon = 10 * n * n
-    closed, zones = chain.closed, chain.zones
-
-    fixed_c = chain.best_placement(wc) if placement == "optimal" else None
-
-    evade_c = chain.evade_c
-
-    def evader_pick(c: int, options) -> int:
-        # deterministic: provably safe spots first (never captured from
-        # there), then positive-escape-chance spots, then the largest
-        # expected time; options ascend, so ties go to the lowest vertex id;
-        # -1 when there is no option (captured)
-        if not options:
-            return -1
-        safe_opts = [r for r in options if evade_c[c * n + r]]
-        if safe_opts:
-            return min(safe_opts)
-        inf_opts = [r for r in options if math.isinf(wc[c * n + r])]
-        if inf_opts:
-            return min(inf_opts)
-        best_r, best_v = -1, -1.0
-        for r in options:
-            v = wc[c * n + r]
-            if _exceeds(v, best_v):
-                best_r, best_v = r, v
-        return best_r
-
-    # start[c]: the evader's placement against config c; reply[c*n + r]:
-    # its move from r after the searchers step to c (-1: captured)
-    start = [evader_pick(c, _mask_bits(chain.full & ~zones[c])) for c in range(nc)]
-    reply = [
-        -1 if zones[c] >> r & 1
-        else evader_pick(c, _mask_bits(closed[r] & ~zones[c]))
-        for c in range(nc) for r in range(n)
-    ]
-    table, radix = chain.move_table, chain.move_radix
-    rank = chain.rank
-
-    times = []
-    for i in range(trials):
-        rng = random.Random(f"{seed}:{i}")
-        if fixed_c is not None:
-            c = fixed_c
-        else:
-            c = rank[tuple(sorted(rng.randrange(n) for _ in range(k)))]
-        r = start[c]
-        if r < 0:
-            times.append(0)
-            continue
-        choice = rng.choice
-        for t in range(1, horizon + 1):
-            pick = 0
-            for rg in radix[c]:
-                pick += choice(rg)
-            c = table[c][pick]
-            r = reply[c * n + r]
-            if r < 0:
-                times.append(t)
-                break
-    captured = len(times)
-    freq = captured / trials
-    if captured:
-        mean = sum(times) / captured
-        if captured > 1:
-            var = sum((x - mean) ** 2 for x in times) / (captured - 1)
-            err = math.sqrt(var / captured)
-        else:
-            err = None
+    start, reply = (np.array(t, dtype=np.intp) for t in chain.greedy_evader(wc))
+    # the move tables end to end: config c's is flat[offset[c]:][:size[c]]
+    size = np.array([len(t) for t in chain.move_table], dtype=np.intp)
+    offset = np.cumsum(size) - size
+    flat = np.fromiter(itertools.chain.from_iterable(chain.move_table), dtype=np.intp,
+                       count=int(size.sum()))
+    if placement == "optimal":
+        fixed_c = chain.best_placement(wc)
     else:
-        mean = None
-        err = None
+        # base-n keys, first vertex most significant, ascend in the configs'
+        # combinations_with_replacement order
+        power = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        keys = np.array(chain.cfgs, dtype=np.int64) @ power
+
+    captured = sum_t = sum_tt = 0
+    for lo in range(0, trials, _MC_CHUNK):
+        batch = min(_MC_CHUNK, trials - lo)
+        if placement == "optimal":
+            c = np.full(batch, fixed_c, dtype=np.intp)
+        else:
+            drawn = np.sort(rng.integers(n, size=(batch, k)), axis=1)
+            c = np.searchsorted(keys, drawn @ power)
+        r = start[c]
+        alive = r >= 0
+        captured += batch - int(np.count_nonzero(alive))   # at placement: time 0
+        c, r = c[alive], r[alive]
+        for t in range(1, horizon + 1):
+            if not len(c):
+                break
+            c = flat[offset[c] + rng.integers(size[c])]
+            r = reply[c * n + r]
+            alive = r >= 0
+            hits = len(r) - int(np.count_nonzero(alive))
+            if hits:
+                captured += hits
+                sum_t += hits * t
+                sum_tt += hits * t * t
+                c, r = c[alive], r[alive]
+    freq = captured / trials
+    mean = err = None
+    if captured:
+        mean = sum_t / captured
+        if captured > 1:
+            # sample variance over captured, divided by captured, in integers:
+            # (captured * sum_tt - sum_t**2) is captured times the squared
+            # deviations' sum
+            err = math.sqrt((captured * sum_tt - sum_t * sum_t)
+                            / (captured * captured * (captured - 1)))
     return MonteCarloResult(
         trials=trials, captured=captured, capture_frequency=freq,
         mean_time=mean, stderr=err, horizon=horizon, seed=seed,

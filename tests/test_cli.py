@@ -192,6 +192,30 @@ def test_blocking_samples_must_be_positive(capsys, monkeypatch):
         assert json.loads(err)["error"] == "BAD_PARAM"
 
 
+def test_negative_seed_is_bad_param(capsys, monkeypatch):
+    # construct refuses the seed before it builds anything
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the seed was checked")
+
+    monkeypatch.setattr("copclean.construction.build_construction", no_build)
+    for argv in (("mc", "--family", "cycle:5", "--k", "2", "--trials", "10", "--seed", "-1",
+                  "--json"),
+                 ("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", "10",
+                  "--seed", "-1", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+def test_graph6_file_outside_ascii(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("Cé\n", encoding="utf-8")
+    code, out, err = run(capsys, "metrics", "--in", str(path), "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "INVALID_CHAR"
+
+
 def test_construct_rejects_bad_spacing(capsys):
     code, _, err = run(capsys, "construct", "--k", "2", "--m", "8",
                        "--partition", "0,2;1,5;3,6;4,7")

@@ -8,6 +8,7 @@ from copclean.construction import (
     ConstructionSpec,
     _blocked_counts,
     _blocked_types,
+    _sample_pairs,
     build_construction,
     check_blocking,
     check_middle_dominating,
@@ -181,16 +182,12 @@ def test_blocking_sampled_deterministic():
 
 
 def sampled_recount(cg, samples, seed, max_violations=5):
-    """The sampled check done pair by pair with ``_blocked_types``."""
-    rng = random.Random(seed)
+    """The sampled check done pair by pair with ``_blocked_types``, on the
+    pairs ``_sample_pairs`` draws."""
     outside = cg.blocks << cg.m
     mask = (1 << cg.m) - 1
     worst, violations = 0, []
-    for _ in range(samples):
-        ev = rng.randrange(outside)
-        se = rng.randrange(outside)
-        while se == ev:
-            se = rng.randrange(outside)
+    for ev, se in zip(*(a.tolist() for a in _sample_pairs(outside, samples, seed))):
         types = _blocked_types(cg, ev, se, set(cg.graph.neighbors(se)))
         worst = max(worst, len(types))
         if len(types) > 1 and len(violations) < max_violations:
@@ -212,6 +209,29 @@ def test_blocking_sampled_matches_pairwise_recount():
         rep = check_blocking(cg, mode="sampled", samples=20_000, seed=4)
         assert rep.to_dict() == sampled_recount(cg, 20_000, 4)
         assert len(rep.violations) == 5 and not rep.passed
+
+
+def test_sampled_pairs_are_distinct_and_uniform():
+    # each pair is uniform over the ordered pairs of distinct outside
+    # vertices, so each vertex is the evader, and the searcher, with
+    # chance 1/outside
+    cg = build(k=2, m=8)
+    outside = cg.blocks << cg.m
+    samples = 200_000
+    ev, se = _sample_pairs(outside, samples, 12)
+    assert len(ev) == len(se) == samples
+    assert not (ev == se).any()
+    assert 0 <= min(ev.min(), se.min()) and max(ev.max(), se.max()) < outside
+    p = 1 / outside
+    sigma = (samples * p * (1 - p)) ** 0.5
+    for side in (ev, se):
+        counts = np.bincount(side, minlength=outside)
+        assert np.abs(counts - samples * p).max() <= 5 * sigma
+
+
+def test_sampled_check_rejects_negative_seed():
+    with pytest.raises(BadParamError):
+        check_blocking(build(k=2, m=8), mode="sampled", samples=10, seed=-1)
 
 
 def test_blocking_sampled_needs_a_sample():

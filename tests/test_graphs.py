@@ -115,14 +115,25 @@ def _graph6_edges_by_loop(record: str):
     return sorted(p for p, b in zip(pairs, bits) if b == "1")
 
 
+def _graph6_body_by_loop(g: Graph):
+    # the pair-by-pair encode of the body: one character per six pairs
+    n = g.n
+    edges = set(g.edges())
+    bits = "".join("1" if (i, j) in edges else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(63 + int(bits[p:p + 6], 2)) for p in range(0, len(bits), 6))
+
+
 def test_graph6_round_trip_random():
-    # n crosses the 62/63 size-prefix boundary; padding bits are ignored
+    # n crosses the 62/63 size-prefix boundary; padding bits are ignored;
+    # the emitted body matches a pair-by-pair encode at 0 to 2,200 edges
     rng = random.Random(13)
     for n in range(1, 71):
         for density in (0.1, 0.5, 0.9):
             edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
             g = Graph.from_edges(n, edges)
             record = emit_graph6(g)
+            assert record[1 if n < 63 else 4:] == _graph6_body_by_loop(g), (n, density)
             assert parse_graph6(record) == g, (n, density)
             assert parse_graph6(record.encode()) == g
             pad = -(n * (n - 1) // 2) % 6
@@ -134,10 +145,14 @@ def test_graph6_round_trip_random():
 
 
 def test_graph6_complete_2000():
-    # every bit set, the two padding bits too: the record is K2000
+    # every bit set, the two padding bits too: the record is K2000; emitted,
+    # the padding bits are clear, so the last character is 0b111100 + 63
     n = 2000
     record = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)) + "~" * 333_167
     assert parse_graph6(record) == complete(n)
+    emitted = emit_graph6(complete(n))
+    assert emitted == record[:-1] + chr(63 + 60)
+    assert parse_graph6(emitted) == complete(n)
 
 
 def test_graph6_errors():
@@ -147,6 +162,11 @@ def test_graph6_errors():
     with pytest.raises(Graph6Error) as e:
         parse_graph6("D")
     assert e.value.code == "TRUNCATED"
+    # a character outside ASCII is refused, not read as some graph6 byte
+    for record in ("Cé", "C~\u2028", "\u00c3~"):
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6(record)
+        assert e.value.code == "INVALID_CHAR", record
     with pytest.raises(Graph6Error):
         parse_graph6("C~~~~")   # too long for n=4
 

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import oracles
@@ -154,6 +155,23 @@ def test_monte_carlo_agrees_with_exact():
     assert abs(mc.mean_time - exact.value) <= 3 * mc.stderr
 
 
+@pytest.mark.parametrize("case", [(cycle(5), 2, 0, mm, pl) for mm, pl in CYCLE5_GRID]
+                         + [(path(6), 1, 1, "per_cop", "uniform")])
+def test_monte_carlo_agrees_under_every_convention(case):
+    # the greedy evader plays the exact optimum, so the simulated mean
+    # estimates the exact expected time under each move model and placement
+    g, k, rho, mm, pl = case
+    exact = expected_time(g, k, rho, move_model=mm, placement=pl).value
+    mc = monte_carlo(g, k, rho, trials=50_000, seed=2, move_model=mm, placement=pl)
+    assert mc.captured == mc.trials
+    assert abs(mc.mean_time - exact) <= 4 * mc.stderr, (mc.mean_time, exact, mc.stderr)
+
+
+def test_monte_carlo_rejects_negative_seed():
+    with pytest.raises(BadParamError):
+        monte_carlo(cycle(5), 2, trials=10, seed=-1)
+
+
 def test_monte_carlo_escape_hits_horizon():
     mc = monte_carlo(cycle(4), 1, 0, trials=300, seed=5)
     assert mc.captured == 0
@@ -174,23 +192,100 @@ def test_monte_carlo_rejects_short_horizon():
 
 
 # (graph, k, rho, keyword arguments) -> (captured, mean_time, stderr); each
-# trial's stream is Random(f"{seed}:{i}"), so these figures fix every draw,
-# and the evader's ties go by the rounding guard, not by solver noise
+# call draws from one PCG64 generator seeded with its seed, so these figures
+# fix every draw, and the evader's ties go by the rounding guard, not by
+# solver noise
 MC_STREAMS = [
     ((cycle(5), 2, 0), dict(trials=2000, seed=7),
-     (2000, 5.136, 0.13253880664784123)),
+     (2000, 5.2095, 0.14275676734330725)),
     ((cycle(5), 2, 0),
      dict(trials=2000, seed=7, move_model="joint_multiset", placement="uniform"),
-     (2000, 7.1985, 0.15475310380269652)),
+     (2000, 7.1405, 0.15801855842717874)),
     ((path(6), 1, 1), dict(trials=2000, seed=3, placement="uniform"),
-     (2000, 23.7885, 0.4796044141498652)),
+     (2000, 22.7855, 0.46063091004908296)),
     ((cycle(8), 2, 0), dict(trials=1000, seed=11, placement="uniform"),
-     (1000, 27.138, 0.7649798364337135)),
+     (1000, 26.475, 0.7821106520640618)),
     ((cycle(4), 1, 0), dict(trials=50, seed=5, horizon=20, placement="uniform"),
      (0, None, None)),
     ((star(3), 1, 0), dict(trials=500, seed=2, move_model="joint_multiset"),
-     (500, 7.992, 0.35088190066806385)),
+     (500, 8.144, 0.3950578050598132)),
 ]
+
+
+def trial_by_trial(g, k, rho, trials, seed, horizon, move_model, placement, chunk):
+    """``monte_carlo``'s capture times, simulated one trial at a time in
+    Python from the same draws: per chunk the placements, then per round one
+    pick index per live trial in trial order.  A per_cop pick is decoded
+    into one closed-neighborhood option per searcher."""
+    chain = _RandomPursuit(g, k, rho, move_model)
+    wc = chain.policy_iteration()[0]
+    start, reply = chain.greedy_evader(wc)
+    n = g.n
+    rank = {cfg: i for i, cfg in enumerate(chain.cfgs)}
+    opts = [[u for u in range(n) if chain.closed[v] >> u & 1] for v in range(n)]
+
+    def step(c, pick):
+        if move_model == "joint_multiset":
+            return chain.succs[c][pick]
+        cfg = chain.cfgs[c]
+        digits = [(pick // rg.step) % len(rg) for rg in mixed_radix(chain, cfg)]
+        return rank[tuple(sorted(opts[v][d] for v, d in zip(cfg, digits)))]
+
+    rng = np.random.default_rng(seed)
+    times = []
+    for lo in range(0, trials, chunk):
+        batch = min(chunk, trials - lo)
+        if placement == "optimal":
+            cs = [chain.best_placement(wc)] * batch
+        else:
+            cs = [rank[tuple(sorted(row))] for row in rng.integers(n, size=(batch, k)).tolist()]
+        live = []
+        for c in cs:
+            if start[c] < 0:
+                times.append(0)
+            else:
+                live.append((c, start[c]))
+        for t in range(1, horizon + 1):
+            if not live:
+                break
+            sizes = np.array([len(chain.move_table[c]) for c, _ in live])
+            nxt = []
+            for (c, r), pick in zip(live, rng.integers(sizes).tolist()):
+                c = step(c, pick)
+                r = reply[c * n + r]
+                if r < 0:
+                    times.append(t)
+                else:
+                    nxt.append((c, r))
+            live = nxt
+    return times
+
+
+@pytest.mark.parametrize("case", [
+    (cycle(5), 2, 0, "per_cop", "optimal", None),
+    (cycle(5), 2, 0, "joint_multiset", "uniform", None),
+    (path(6), 1, 1, "per_cop", "uniform", None),
+    (star(3), 1, 1, "per_cop", "uniform", None),       # the hub captures at placement
+    (cycle(4), 1, 0, "per_cop", "uniform", 30),         # the evader escapes
+    (complete(4), 3, 0, "per_cop", "uniform", 2),       # the horizon cuts trials off
+])
+def test_monte_carlo_matches_trial_by_trial(monkeypatch, case):
+    # a small chunk, which does not divide the trial count, runs several
+    # chunks and a short last one
+    g, k, rho, mm, pl, horizon = case
+    monkeypatch.setattr(stochastic, "_MC_CHUNK", 37)
+    res = monte_carlo(g, k, rho, trials=400, seed=6, horizon=horizon, move_model=mm,
+                      placement=pl)
+    times = trial_by_trial(g, k, rho, 400, 6, res.horizon, mm, pl, 37)
+    assert res.captured == len(times)
+    assert res.capture_frequency == len(times) / 400
+    mean = sum(times) / len(times) if times else None
+    assert res.mean_time == mean
+    if len(times) > 1:
+        var = sum((x - mean) ** 2 for x in times) / (len(times) - 1)
+        assert math.isclose(res.stderr, math.sqrt(var / len(times)), rel_tol=1e-12)
+    else:
+        assert res.stderr is None
 
 
 def test_monte_carlo_stream_pinned():
@@ -199,23 +294,37 @@ def test_monte_carlo_stream_pinned():
         assert (res.captured, res.mean_time, res.stderr) == (captured, mean, err), kwargs
 
 
+def mixed_radix(chain, cfg):
+    """Per searcher of ``cfg``, the pick indices that choose each of its
+    closed-neighborhood options: ``_joint_moves``' product order, the last
+    searcher fastest."""
+    sizes = [chain.closed[v].bit_count() for v in cfg]
+    stride = math.prod(sizes)
+    radix = []
+    for size in sizes:
+        stride //= size
+        radix.append(range(0, size * stride, stride))
+    return radix
+
+
 def test_move_table_is_the_move_distribution():
     # one enumeration per config: the pick table read through its draw
     # ranges gives the sorted config of each searcher's closed-neighborhood
     # choice, and move_dist is that table's histogram
     for g, k, rho in ((cycle(5), 2, 0), (path(6), 1, 1), (complete(4), 3, 0)):
         chain = _RandomPursuit(g, k, rho, "per_cop")
+        rank = {cfg: i for i, cfg in enumerate(chain.cfgs)}
         succs, moves = _config_tables(g, k, rho)[-1], _joint_moves(g, k)
         opts = [sorted([v] + [u for u in range(g.n) if g.bit_rows[v] >> u & 1])
                 for v in range(g.n)]
         for c, cfg in enumerate(chain.cfgs):
-            table, radix = chain.move_table[c], chain.move_radix[c]
+            table, radix = chain.move_table[c], mixed_radix(chain, cfg)
             assert table == moves[c] and list(succs[c]) == sorted(set(moves[c]))
             assert [len(rg) for rg in radix] == [len(opts[v]) for v in cfg]
             for digits in itertools.product(*(range(len(rg)) for rg in radix)):
                 pick = sum(rg[d] for rg, d in zip(radix, digits))
                 moved = tuple(sorted(opts[v][d] for v, d in zip(cfg, digits)))
-                assert table[pick] == chain.rank[moved]
+                assert table[pick] == rank[moved]
             counts = Counter(table)
             dist = chain.move_dist[c]
             assert [c2 for c2, _ in dist] == sorted(counts)
