@@ -138,9 +138,19 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
     n = nblocks * size + nblocks
     hub0 = nblocks * size
 
-    us_parts = []
-    vs_parts = []
-    a = np.arange(size, dtype=np.int64)
+    # one row of `size` edges per (block i, step q, block j != i) and one per
+    # hub's spokes, then the hub clique; int32 holds every id below the
+    # vertex cap, and the rows are filled in place, so no second copy of the
+    # endpoints (27 MB at m=16) lives through the build
+    hubs = np.array([(hub0 + i, hub0 + j) for i in range(nblocks) for j in range(i + 1, nblocks)],
+                    dtype=np.int32)
+    rows = m * (nblocks - 1) + nblocks
+    us = np.empty(rows * size + len(hubs), dtype=np.int32)
+    vs = np.empty_like(us)
+    us_rows, vs_rows = us[:rows * size].reshape(rows, size), vs[:rows * size].reshape(rows, size)
+    us[rows * size:], vs[rows * size:] = hubs.T
+    a = np.arange(size, dtype=np.int32)
+    r = 0
     for i in range(nblocks):
         base = i * size
         for q in partition[i]:
@@ -148,23 +158,12 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
             for j in range(nblocks):
                 if j == i:
                     continue
-                us_parts.append(base + a)
-                vs_parts.append(j * size + b)
-        us_parts.append(np.full(size, hub0 + i, dtype=np.int64))
-        vs_parts.append(base + a)
-    hub_u = []
-    hub_v = []
-    for i in range(nblocks):
-        for j in range(i + 1, nblocks):
-            hub_u.append(hub0 + i)
-            hub_v.append(hub0 + j)
-    us_parts.append(np.asarray(hub_u, dtype=np.int64))
-    vs_parts.append(np.asarray(hub_v, dtype=np.int64))
-
-    # the parts are dropped before the build: kept, they would hold a second
-    # copy of both endpoint arrays (54 MB at m=16) through it
-    us, vs = np.concatenate(us_parts), np.concatenate(vs_parts)
-    del us_parts, vs_parts
+                us_rows[r] = base + a
+                vs_rows[r] = j * size + b
+                r += 1
+        us_rows[r] = hub0 + i
+        vs_rows[r] = base + a
+        r += 1
     g = Graph.from_edge_arrays(n, us, vs, name=f"construction:k={spec.k}:m={m}")
     cls_of = {}
     for ci, cls in enumerate(partition):

@@ -84,28 +84,43 @@ class Graph:
     def from_edge_arrays(n: int, us: np.ndarray, vs: np.ndarray, name: str | None = None) -> "Graph":
         """Build from parallel endpoint arrays; repeated edges collapse.
         More than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` endpoint pairs
-        raise ``UnsupportedSizeError`` before anything is allocated."""
+        raise ``UnsupportedSizeError`` before anything is allocated.
+
+        Integer endpoints of any dtype are read as they are, not copied.
+        Besides them and the CSR result, the build holds one int64 key per
+        arc (16 bytes per edge), sorted and turned into neighbours in place;
+        only repeated edges add a compacted copy of the keys."""
         if n < 1:
             raise BadParamError("graph needs at least one vertex")
         check_vertex_cap(n)
         check_edge_cap(len(us))
-        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        out = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= n)
-        bad = out | (us == vs)
-        if bad.any():
-            i = int(bad.argmax())
+        us, vs = (a if a.dtype.kind in "iu" else a.astype(np.int64)
+                  for a in (np.asarray(us), np.asarray(vs)))
+        m = len(us)
+        if m and (min(int(us.min()), int(vs.min())) < 0
+                  or max(int(us.max()), int(vs.max())) >= n or (us == vs).any()):
+            out = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+            i = int((out | (us == vs)).argmax())
             u, v = int(us[i]), int(vs[i])
             if out[i]:
                 raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
             raise BadParamError(f"self-loop at {u}")
         # arc u -> v is key u*n + v; sorted unique keys list each vertex's
-        # neighbours in order, vertex after vertex
-        keys = np.sort(np.concatenate([us * n + vs, vs * n + us]))
-        keep = np.ones(len(keys), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        keys = keys[keep]
-        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int64)
-        nbrs = (keys % n).astype(np.int32)
+        # neighbours in order, vertex after vertex.  The products are taken
+        # in int64 whatever the endpoint dtype.
+        keys = np.empty(2 * m, dtype=np.int64)
+        for half, a, b in ((keys[:m], us, vs), (keys[m:], vs, us)):
+            np.multiply(a, n, out=half, dtype=np.int64)
+            np.add(half, b, out=half, dtype=np.int64)
+        # a view left bound would keep the uncompacted keys alive below
+        del half, a, b, us, vs
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            keys = keys[np.concatenate(([True], ~repeat))]
+        del repeat
+        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int64, copy=False)
+        nbrs = np.remainder(keys, n, out=keys).astype(np.int32)
         nbrs.setflags(write=False)
         indptr.setflags(write=False)
         return Graph(n, indptr, nbrs, name=name)

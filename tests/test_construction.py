@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from copclean.construction import (
     spacing_ok,
 )
 from copclean.errors import BadParamError, UnsupportedSizeError
+from copclean.families import from_spec
 
 ADVERSARIAL = ((0, 2), (1, 5), (3, 6), (4, 7))
 
@@ -90,6 +93,36 @@ def test_shape_and_degrees():
     assert all(g.degree(cg.vertex_id(b, r)) == out_deg
                for b in range(4) for r in (0, 1, 100, 255))
     assert all(g.degree(cg.hub_id(b)) == 256 + 3 for b in range(4))
+
+
+# SHA-256 of indptr's bytes followed by nbrs' bytes (int64 and int32,
+# little-endian)
+CSR_SHA256 = {
+    "construction:k=2:m=12": "f7954bab935e04a44ac98c69805b921724d078525cbab5cb46e3b4635cbdbf5f",
+    "complete:64": "bf742cafd2fa6f0c370c0b01c12a41a8cb2d3a572fe8d5d39b245e713d3e43a9",
+    "grid:4:5": "31db7aee4a37605d7064a972a0f8f73b112f84412c18f9445e9dc9f9d8bdc9d1",
+}
+
+
+def test_csr_bytes_pinned():
+    for g in (build(m=12).graph, from_spec("complete:64"), from_spec("grid:4:5")):
+        assert g._indptr.dtype == np.int64 and g._nbrs.dtype == np.int32
+        assert not g._indptr.flags.writeable and not g._nbrs.flags.writeable
+        digest = hashlib.sha256(g._indptr.tobytes() + g._nbrs.tobytes()).hexdigest()
+        assert digest == CSR_SHA256[g.name], g.name
+
+
+def test_build_memory_bounded():
+    # int32 endpoints, one int64 key per arc and the CSR arrays come to 3.8
+    # times the CSR bytes
+    tracemalloc.start()
+    try:
+        g = build(m=12).graph
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = g._indptr.nbytes + g._nbrs.nbytes
+    assert peak <= 4.5 * csr, peak / csr
 
 
 def test_vertex_ids_round_trip():

@@ -65,6 +65,39 @@ def test_graph_rejects_bad_edges():
             build(70, [(0, 100), (3, 3)])
 
 
+def test_narrow_endpoint_dtypes_at_the_vertex_cap():
+    # at n = MAX_VERTICES the key u*n + v of most of these arcs passes 2^31,
+    # so it must be taken in int64 whatever the endpoint dtype
+    n = MAX_VERTICES
+    edges = [(n - 1, n - 2), (0, n - 1), (1, 0), (n - 2, 5), (0, n - 1)]
+    ref = Graph.from_edge_arrays(n, *np.array(edges, dtype=np.int64).T)
+    assert ref.neighbors(0) == [1, n - 1]
+    assert ref.neighbors(n - 1) == [0, n - 2]
+    assert ref.neighbors(n - 2) == [5, n - 1]
+    assert ref.edge_count() == 4
+    for dtype in (np.int32, np.uint32):
+        us, vs = np.array(edges, dtype=dtype).T
+        assert Graph.from_edge_arrays(n, us, vs) == ref, dtype
+
+
+def test_no_edges():
+    for dtype in (np.int32, np.int64):
+        none = np.array([], dtype=dtype)
+        g = Graph.from_edge_arrays(3, none, none)
+        assert g.edge_count() == 0 and not g.is_connected()
+        assert g._indptr.tolist() == [0, 0, 0, 0] and g._nbrs.dtype == np.int32
+    g = Graph.from_edges(1, [])
+    assert (g.n, g.edge_count(), g._indptr.tolist()) == (1, 0, [0, 0])
+    assert g.is_connected()
+
+
+def test_repeated_edges_collapse():
+    g = Graph.from_edges(4, [(0, 1), (1, 0), (2, 3), (0, 1), (3, 2), (1, 2), (2, 1)])
+    assert g._indptr.tolist() == [0, 1, 3, 5, 6]
+    assert g._nbrs.tolist() == [1, 0, 2, 1, 3, 2]
+    assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
 def test_closed_neighborhood():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     assert closed_l_neighborhood(g, 2, 0) == {2}
