@@ -29,7 +29,13 @@ def complete(n: int) -> Graph:
         raise BadParamError("complete graph needs n >= 1")
     check_vertex_cap(n)
     check_edge_cap(n * (n - 1) // 2)
-    us, vs = np.triu_indices(n, 1)
+    # the pairs i < j row by row, in int32: row i holds j = i+1 .. n-1 from
+    # index start[i] on, so index e of row i holds j = e - (start[i] - i - 1)
+    row = np.arange(n - 1, dtype=np.int32)
+    count = n - 1 - row
+    shift = np.cumsum(count, dtype=np.int32) - count - row - 1
+    us = np.repeat(row, count)
+    vs = np.arange(len(us), dtype=np.int32) - np.repeat(shift, count)
     return Graph.from_edge_arrays(n, us, vs, name=f"complete:{n}")
 
 

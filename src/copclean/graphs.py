@@ -436,12 +436,25 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     six = np.frombuffer(six, dtype=np.uint8)
     rows = np.flatnonzero(six)
     hit, col = np.nonzero(np.unpackbits(six[rows, None], axis=1)[:, 2:])
-    idx = rows[hit] * 6 + col
+    # the set bits' positions, in place, each temporary dropped once read:
+    # the endpoints reach the builder as int32 (n is at most 2^20) and
+    # nothing else per edge stays alive through the build
+    idx = rows[hit]
+    del rows, hit
+    idx *= 6
+    idx += col
+    del col
     # column j holds the bits from ends[j - 1] = j(j-1)/2 up to ends[j], so
     # j counts the ends at or below idx
     ends = np.cumsum(np.arange(n, dtype=np.int64))
     j = np.searchsorted(ends, idx, side="right")
-    return Graph.from_edge_arrays(n, idx - ends[j - 1], j, name=name)
+    vs = j.astype(np.int32)
+    j -= 1
+    idx -= ends[j]
+    del j
+    us = idx.astype(np.int32)
+    del idx
+    return Graph.from_edge_arrays(n, us, vs, name=name)
 
 
 def _upper_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -492,51 +505,56 @@ def canonical_key(rows: tuple[int, ...], n: int) -> int:
     their certificates are equal.
 
     Branch-and-bound over partial orders with prefix pruning; equal
-    candidates related by a swap automorphism are explored once.
+    candidates related by a swap automorphism are explored once.  Each
+    level hands its child the unplaced vertices w sorted by their bits
+    (w's adjacency to the placed vertices, the first placed highest),
+    packed as ``bits << s | w``; the child extends each by one bit for the
+    vertex just placed.  Candidates ascend and the bound only falls, so the
+    first one past the bound ends the level.
     """
     if n == 1:
         return 0
     total_bits = n * (n - 1) // 2
     best = (1 << total_bits) - 1  # all-ones is the lexicographic maximum
-    full = (1 << n) - 1
+    s = max(1, (n - 1).bit_length())
+    low = (1 << s) - 1
 
-    def dfs(placed, placed_mask, partial, bits_used):
+    def dfs(cands, partial, j):
         nonlocal best
-        j = len(placed)
-        if j == n:
-            if partial < best:
-                best = partial
-            return
-        rem = full & ~placed_mask
-        scored = []
-        for w in _mask_bits(rem):
+        shift = total_bits - j * (j + 1) // 2   # bits left after this level's
+        group = -1
+        taken = []   # the vertices tried with this group's bits
+        for p in cands:
+            bits = p >> s
+            w = p & low
             rw = rows[w]
-            bits = 0
-            for p in placed:
-                bits = bits << 1 | (rw >> p & 1)
-            scored.append((bits, w))
-        scored.sort()
-        taken = []
-        for bits, w in scored:
-            skip = False
-            rw = rows[w]
-            for bu, u in taken:
-                if bu != bits:
+            if bits != group:
+                group, taken = bits, []
+            else:
+                # a twin of a vertex tried (swapping them fixes the placed
+                # vertices) leads to the same certificates
+                twin = False
+                for u in taken:
+                    if (rows[u] ^ rw) & ~(1 << u | 1 << w) == 0:
+                        twin = True
+                        break
+                if twin:
                     continue
-                if (rows[u] ^ rw) & ~(1 << u) & ~(1 << w) == 0:
-                    skip = True
-                    break
-            if skip:
-                continue
-            taken.append((bits, w))
-            partial2 = (partial << j) | bits
-            used2 = bits_used + j
-            prefix = best >> (total_bits - used2)
-            if partial2 > prefix:
-                continue
-            dfs(placed + [w], placed_mask | (1 << w), partial2, used2)
+            taken.append(w)
+            partial2 = partial << j | bits
+            if partial2 > best >> shift:
+                break
+            rest = [(q >> s << 1 | rows[q & low] >> w & 1) << s | q & low
+                    for q in cands if q != p]
+            if len(rest) == 1:   # the last vertex: score it in place
+                last = partial2 << j + 1 | rest[0] >> s
+                if last < best:
+                    best = last
+            else:
+                rest.sort()
+                dfs(rest, partial2, j + 1)
 
-    dfs([], 0, 0, 0)
+    dfs(list(range(n)), 0, 0)
     return best
 
 

@@ -12,9 +12,11 @@ Three engines share this module:
   vertices the config leaves unseen, built once per call) and does the
   spread's two table lookups inline.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
-  radius, solved by backward induction over cop-move/robber-move states.
-  ``_pursuit`` builds and solves that game; the random-searcher chain in
-  ``stochastic`` reads the same solved game.
+  radius, solved by backward induction over sets of evader positions: one
+  vertex mask per searcher configuration and side to move, grown round by
+  round (A. Berarducci and B. Intrigila, "On the cop number of a graph",
+  Adv. Appl. Math. 14, 1993).  ``_pursuit`` solves that game; the
+  random-searcher chain in ``stochastic`` reads the same solved game.
 * ``limited_capture_solve`` handles capture under limited sight: cops track a
   set of candidate robber locations, and the game is an AND-OR reachability
   problem over (positions, candidate-set) states.  A move from ``(c, S)`` to
@@ -51,10 +53,13 @@ one set of configuration tables per searcher count k and one sight table
 per (k, l) asked, and whether the graph is connected.  The tables are
 tuples: callers share them, so none may change them.
 
-Every capture answer, including the random chain's sure-capture region,
-comes from one retrograde kernel, ``_retrograde``: a bucketed backward pass
-over an AND-OR graph that yields both the winning region and the round
-counts.
+Pursuit needs no game graph: its states are (configuration, vertex)
+pairs, so the won states of one configuration and side to move form one
+vertex mask, and a round of backward induction is a few mask operations
+per configuration.  Limited-sight capture has no such layout (its states
+carry a candidate set, and a move splits it into branches), so it builds
+an AND-OR graph and solves it with ``_retrograde``, a bucketed backward
+pass that yields both the winning region and the round counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -75,7 +80,7 @@ from .graphs import Graph, _mask_bits
 _CLEAN_MAX_N = 26
 _PURSUIT_MAX_N = 64
 _DEFAULT_BUDGET = 5_000_000
-NONE = -1   # unresolved entry of a retrograde table
+NONE = -1   # a round count never reached: not won
 
 
 def _budget(arg: Optional[int]) -> int:
@@ -435,8 +440,8 @@ class PursuitResult:
 
 
 def _retrograde(need, is_or, seeds, preds):
-    """The one retrograde kernel: least fixpoint of an AND-OR graph, with
-    round counts, in one bucketed backward pass.
+    """Least fixpoint of an AND-OR graph, with round counts, in one
+    bucketed backward pass: limited-sight capture's solver.
 
     Node v is won once ``need[v]`` of its successors are won: 1 on an OR
     node, all of them on an AND node.  ``seeds`` lists ``(node, rounds)``
@@ -471,56 +476,87 @@ def _retrograde(need, is_or, seeds, preds):
     return val
 
 
+def _closed_union(closed, mask: int) -> int:
+    """The union of ``closed[v]`` over the vertices v of ``mask``: by
+    symmetry of closed neighbourhoods, the vertices one step from ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= closed[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
              who: str = "pursuer", space: str = "pursuit"):
-    """The pursuit game, solved by one ``_retrograde`` pass: returns the
-    ``_game`` tables, the round counts and the predecessor lists.  ``who``
-    and ``space`` name the players and the state space in messages.
+    """The pursuit game, solved over evader-position masks: returns the
+    ``_game`` tables, ``won`` and ``cover``.  ``who`` and ``space`` name
+    the players and the state space in messages.
 
-    For config rank c and evader vertex r outside ``zones[c]``, node
-    ``c * n + r`` has the pursuers to move (an OR node over their joint
-    steps) and node ``size + c * n + r`` the evader to move after the
-    pursuers reached c (an AND node over its steps in ``closed[r]``);
-    other ids are unused.
-    A pursuer step that brings r into the zone captures, so such states
-    are seeds won in one round.  Staying put is always safe for the
-    evader, so captures happen only on pursuer steps.
+    For config rank c, ``free[c]`` is the vertices outside ``zones[c]``.
+    Two masks per config grow round by round to their least fixpoint:
+    ``won[c]``, the evader vertices from which the pursuers to move at c
+    force capture within t rounds, and ``moved[c]``, those lost within t
+    rounds with the evader to move after the pursuers reached c, that is
+    every step in ``closed[r] & free[c]`` lies in ``won[c]``.  Round 1
+    wins ``hit[c] & free[c]``, the vertices some pursuer step captures;
+    round t+1 wins ``(hit[c] | moved[c0] for every c0 in succs[c]) &
+    free[c]`` with the masks of round t.  Staying put is always safe for
+    the evader, so captures happen only on pursuer steps.  A vertex's
+    first round in ``won[c]`` is the round count of backward induction
+    over the (config, vertex) states, and ``cover[c]`` is the first round
+    at which ``won[c]`` equals ``free[c]`` (0 for a full zone, NONE if
+    never): the worst case over the evader's placements against c.
+
+    A round recomputes only the configs a changed ``moved[c0]`` feeds,
+    ``succs[c0]`` (the step relation is symmetric), and applies the new
+    masks only once all are computed, so each round reads the last one's.
     """
     budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
     cfgs, zones, closed, succs = tables
     n = g.n
-    size = len(cfgs) * n
-    if 2 * size > budget:
+    if 2 * len(cfgs) * n > budget:
         raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
                             partial=None)
     full = (1 << n) - 1
-    steps_of = [_mask_bits(m) for m in closed]
-    need = [1] * size + [0] * size
-    is_or = [1] * size + [0] * size
-    preds = [()] * (2 * size)
-    seeds = []
-    for c, zc in enumerate(zones):
-        sc = succs[c]
-        moved = [c0 * n for c0 in sc]
-        hit = 0   # evader positions some pursuer step captures
+    free = [full & ~zc for zc in zones]
+    hit = []   # per config, the evader vertices some pursuer step captures
+    for sc in succs:
+        h = 0
         for c0 in sc:
-            hit |= zones[c0]
-        base = c * n
-        for r in _mask_bits(full & ~zc):
-            sid = base + r
-            # evader states (c, r0) that can step to r; by symmetry of the
-            # closed neighbourhood they are also the steps out of (c, r)
-            steps = [size + base + r0 for r0 in steps_of[r] if not zc >> r0 & 1]
-            preds[sid] = steps
-            need[size + sid] = len(steps)
-            # pursuer states (c0, r) stepping to c with r uncaught; only
-            # where some step captures r can a c0 zone hold r
-            if hit >> r & 1:
-                seeds.append((sid, 1))
-                preds[size + sid] = [c0 * n + r for c0 in sc if not zones[c0] >> r & 1]
-            else:
-                preds[size + sid] = [m + r for m in moved]
-    return tables, _retrograde(need, is_or, seeds, preds), preds
+            h |= zones[c0]
+        hit.append(h)
+    won = [h & f for h, f in zip(hit, free)]
+    cover = [NONE] * len(cfgs)
+    moved = [0] * len(cfgs)
+    fresh = list(enumerate(won))
+    t = 1
+    while fresh:
+        changed = []
+        for c, w in fresh:
+            f = free[c]
+            won[c] = w
+            if w == f:
+                cover[c] = t if f else 0
+            m = f & ~_closed_union(closed, f & ~w)
+            if m != moved[c]:
+                moved[c] = m
+                changed.append(c)
+        t += 1
+        dirty = set()
+        for c0 in changed:
+            dirty.update(succs[c0])
+        fresh = []
+        for c in dirty:
+            if won[c] == free[c]:
+                continue
+            w = hit[c]
+            for c0 in succs[c]:
+                w |= moved[c0]
+            w &= free[c]
+            if w != won[c]:
+                fresh.append((c, w))
+    return tables, won, cover
 
 
 def _best_placement(cfgs, starts, val):
@@ -549,13 +585,12 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     for it, so mid-game forced captures cannot happen).  Capture time counts
     pursuer rounds; placement capture is time 0.
     """
-    (cfgs, zones, _, _), val, _ = _pursuit(g, k, rho, state_budget)
-    n, full = g.n, (1 << g.n) - 1
-    starts = [[c * n + r for r in _mask_bits(full & ~zc)] for c, zc in enumerate(zones)]
-    best, best_cfg = _best_placement(cfgs, starts, val)
+    (cfgs, _, _, _), _, cover = _pursuit(g, k, rho, state_budget)
+    best = min((t for t in cover if t != NONE), default=None)
     return PursuitResult(
-        k=k, rho=rho, capture=best is not None,
-        capture_time=best, placement=best_cfg, states=2 * len(cfgs) * n,
+        k=k, rho=rho, capture=best is not None, capture_time=best,
+        placement=None if best is None else cfgs[cover.index(best)],
+        states=2 * len(cfgs) * g.n,
     )
 
 

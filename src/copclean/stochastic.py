@@ -9,9 +9,10 @@ placement is time 0.
 Expected values are computed exactly.  The almost-sure-capture region is
 found first: outside it the evader reaches, with positive probability, a
 state from which it can evade forever, so the expected time is infinite.
-It takes two passes of the solvers' one retrograde kernel, ``_retrograde``,
-over the pursuit graph: the adversarial attractor, which is the pursuit game
-``solvers._pursuit`` solves, then the states that can reach one outside it.
+It takes two mask fixpoints, one vertex mask of evader positions per
+searcher configuration: the adversarial attractor, which is the pursuit
+game ``solvers._pursuit`` solves, then the states that can reach one
+outside it.
 Inside the region, Howard policy iteration over the evader's replies gives
 the values.  There every evader policy yields a proper chain, so each
 evaluation ``(I - P) v = 1`` is nonsingular and the method ends after
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import BadParamError, TooLargeError
 from .graphs import Graph, _mask_bits
-from .solvers import NONE, _joint_moves, _pursuit, _retrograde, limited_capture_solve
+from .solvers import _closed_union, _joint_moves, _pursuit, limited_capture_solve
 
 # relative gap below which two expected times count as equal: rounding in
 # the dense solve stays near 1e-15, far below it
@@ -110,7 +111,7 @@ class _RandomPursuit:
     def __init__(self, g: Graph, k: int, rho: int, move_model: str, state_budget=None):
         if move_model not in MOVE_MODELS:
             raise BadParamError(f"move model must be one of {MOVE_MODELS}")
-        tables, won, preds = _pursuit(g, k, rho, state_budget, "searcher", "chain")
+        tables, won, _ = _pursuit(g, k, rho, state_budget, "searcher", "chain")
         self.cfgs, self.zones, self.closed, self.succs = cfgs, zones, closed, succs = tables
         n = self.n = g.n
         self.full = (1 << n) - 1
@@ -139,22 +140,31 @@ class _RandomPursuit:
             self.move_dist.append(sorted(acc.items()))
 
         # deterministic evasion analysis: ``won`` is the attractor for
-        # adversarial searchers (can they force capture?).  Searcher-to-move
-        # states outside it the evader survives against any searcher
-        # behavior, random or not; an evader holding these is never caught
-        half = self.nc * n   # searcher-to-move ids come first
-        self.evade_c = [w == NONE for w in won[:half]]
+        # adversarial searchers (can they force capture?).  Per config,
+        # ``evade_c[c]`` masks the searcher-to-move positions outside it:
+        # the evader survives those against any searcher behavior, random
+        # or not; an evader holding them is never caught
+        free = [self.full & ~zc for zc in zones]
+        self.evade_c = [f & ~w for f, w in zip(free, won)]
         # every searcher move has positive probability, so the evader reaches
         # an unwon state with positive probability from wherever it can
-        # reach one at all: the OR-attractor of the unwon alive states
-        alive = [
-            v for c, zc in enumerate(zones) for r in _mask_bits(self.full & ~zc)
-            for v in (c * n + r, half + c * n + r)
-        ]
-        esc = _retrograde([1] * len(won), [1] * len(won),
-                          [(v, 0) for v in alive if won[v] == NONE], preds)
+        # reach one at all.  ``esc[c]`` grows to the searcher-to-move
+        # positions that can: the evader to move at c0 can from
+        # ``free[c0] & _closed_union(closed, esc[c0])``, and the searchers
+        # at c step to every c0 in succs[c] (symmetric, so a change at c0
+        # feeds succs[c0])
+        esc = list(self.evade_c)
+        stack = [c for c, e in enumerate(esc) if e]
+        while stack:
+            c0 = stack.pop()
+            e = free[c0] & _closed_union(closed, esc[c0])
+            for c in succs[c0]:
+                x = esc[c] | e & free[c]
+                if x != esc[c]:
+                    esc[c] = x
+                    stack.append(c)
         # inside the complement, capture is almost sure and times are finite
-        self.finite_c = [e == NONE for e in esc[:half]]
+        self.finite_c = [f & ~x for f, x in zip(free, esc)]
 
     def policy_iteration(self):
         """Expected rounds to capture from searcher-to-move states (inf
@@ -163,7 +173,7 @@ class _RandomPursuit:
         ``|T v - v|`` over the region (an a-posteriori check of the values),
         and the number of policy evaluations."""
         n, zones, closed, finite = self.n, self.zones, self.closed, self.finite_c
-        sids = [s for s in range(self.nc * n) if finite[s] and not zones[s // n] >> s % n & 1]
+        sids = [c * n + r for c, f in enumerate(finite) for r in _mask_bits(f)]
         m = len(sids)
         if m > _PI_MAX_STATES:
             raise TooLargeError(f"almost-sure region of {m} states exceeds the "
@@ -203,7 +213,8 @@ class _RandomPursuit:
         bellman = np.ones(m)
         np.add.at(bellman, src, prob * top)
         residual = float(np.abs(bellman - v[:m]).max(initial=0.0))
-        wc = [0.0 if f else math.inf for f in finite]
+        wc = [0.0 if (zc | f) >> r & 1 else math.inf
+              for zc, f in zip(zones, finite) for r in range(n)]
         for sid, x in zip(sids, v[:m].tolist()):
             wc[sid] = x
         return wc, residual, iters
@@ -220,7 +231,7 @@ class _RandomPursuit:
         def pick(c: int, options) -> int:
             if not options:
                 return -1
-            safe_opts = [r for r in options if evade_c[c * n + r]]
+            safe_opts = [r for r in options if evade_c[c] >> r & 1]
             if safe_opts:
                 return min(safe_opts)
             inf_opts = [r for r in options if math.isinf(wc[c * n + r])]

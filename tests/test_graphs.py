@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,24 @@ def test_graph6_complete_2000():
     assert parse_graph6(emitted) == complete(n)
 
 
+def test_dense_builds_memory_bounded():
+    # the complete graph, built directly and read from graph6: int32
+    # endpoints, one int64 key per arc and the CSR arrays come to about 4
+    # times the CSR bytes
+    n = 1024
+    record = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0)) + "~" * (n * (n - 1) // 12)
+    for build in (lambda: complete(n), lambda: parse_graph6(record)):
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count() == n * (n - 1) // 2
+        csr = g._indptr.nbytes + g._nbrs.nbytes
+        assert peak <= 4.5 * csr, peak / csr
+
+
 def test_graph6_errors():
     with pytest.raises(Graph6Error) as e:
         parse_graph6("C~\x1f")
@@ -232,6 +251,15 @@ def test_canonical_matches_brute_force():
     for n in range(1, 6):
         for g in enumerate_connected(n):
             assert canonical_key(g.bit_rows, g.n) == oracles.brute_canonical(g)
+    # labelled graphs, connected or not, where the candidate groups and twins
+    # of the branch and bound are larger
+    rng = random.Random(16)
+    for n, count in ((6, 30), (7, 8)):
+        for _ in range(count):
+            p = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+            assert canonical_key(g.bit_rows, n) == oracles.brute_canonical(g), g.edges()
 
 
 def test_canonical_relabel_invariant():
@@ -278,6 +306,7 @@ LEVEL_SHA256 = {
     5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
     6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
     7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+    8: "c343647ca62cc9e3626209fdb8a4eb5789ec794f31882e64e77498ea4bbb5dca",
 }
 
 
@@ -287,7 +316,7 @@ def test_level_keys_pinned():
     for t, digest in LEVEL_SHA256.items():
         keys = _all_graph_keys(t)
         assert hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest() == digest
-    for t in range(1, 8):
+    for t in range(1, 9):
         assert len(_all_graph_keys(t)) == count_graph_classes(t)
 
 

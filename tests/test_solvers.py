@@ -7,7 +7,8 @@ import oracles
 from copclean import solvers
 from copclean.cleaning import run_script
 from copclean.errors import BadParamError, TooLargeError
-from copclean.families import complete, cycle, grid, heawood, path, random_tree, spider, star
+from copclean.families import (complete, cycle, from_spec, grid, heawood, path, random_tree,
+                               spider, star)
 from copclean.graphs import Graph, enumerate_connected, metrics
 from copclean.solvers import (
     _config_tables,
@@ -307,6 +308,24 @@ def test_pursuit_capture_time_values():
     # a lone pursuer on the 4-cycle never closes the gap
     res = pursuit_solve(cycle(4), 1, 0)
     assert not res.capture and res.capture_time is None
+
+
+PURSUIT_PINS = {
+    # (spec, k, rho): (capture_time, placement, states), None for no capture
+    ("heawood", 3, 0): (2, (0, 1, 2), 15_680),
+    ("petersen", 3, 0): (1, (0, 2, 6), 4_400),
+    ("petersen", 2, 1): (1, (0, 0), 1_100),
+    ("grid:3:3", 2, 0): (2, (0, 5), 810),
+    ("cycle:7", 2, 0): (2, (0, 2), 392),
+    ("cycle:9", 1, 1): (None, None, 162),
+}
+
+
+def test_pursuit_pinned():
+    for (spec, k, rho), want in PURSUIT_PINS.items():
+        res = pursuit_solve(from_spec(spec), k, rho)
+        assert res.capture == (want[0] is not None), spec
+        assert (res.capture_time, res.placement, res.states) == want, (spec, k, rho)
 
 
 def test_pursuit_zone_covers_all():

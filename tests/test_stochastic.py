@@ -107,7 +107,8 @@ def test_sure_capture_region_matches_oracle():
                 for rho in (0, 1):
                     chain = _RandomPursuit(g, k, rho, "per_cop")
                     got = {
-                        (cfg, r): (chain.finite_c[c * n + r], chain.evade_c[c * n + r])
+                        (cfg, r): (bool(chain.finite_c[c] >> r & 1),
+                                   bool(chain.evade_c[c] >> r & 1))
                         for c, cfg in enumerate(chain.cfgs)
                         for r in range(n) if not chain.zones[c] >> r & 1
                     }
