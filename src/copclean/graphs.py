@@ -27,6 +27,7 @@ from .errors import (
 )
 
 _BIT_ROWS_MAX_N = 64
+_ROW_CHUNK = 1 << 12   # rows per scatter in closed_rows
 _GRAPH6_MAX_N = 1 << 18
 # byte translations: a graph6 character to its six bits and back, six bits
 # to their count
@@ -165,14 +166,20 @@ class Graph:
         """Row v (v < count) holds v and then its neighbours ascending, as
         an int32 matrix padded with -1 to the widest row."""
         indptr, nbrs = self._indptr, self._nbrs
-        lo = indptr[:count]
-        deg = indptr[1:count + 1] - lo
-        width = int(deg.max())
-        out = np.full((count, 1 + width), -1, dtype=np.int32)
+        deg = np.diff(indptr[:count + 1])
+        stride = 1 + int(deg.max())
+        out = np.full((count, stride), -1, dtype=np.int32)
         out[:, 0] = np.arange(count, dtype=np.int32)
-        for col in range(width):
-            has = np.flatnonzero(deg > col)
-            out[has, 1 + col] = nbrs[lo[has] + col]
+        flat = out.reshape(-1)
+        # rows a..b-1 hold nbrs[lo:hi] in order: its t-th entry, the j-th
+        # neighbour of v with t = indptr[v] - lo + j, goes to row v, column
+        # 1 + j, so at flat offset t + v * stride + 1 + lo - indptr[v]
+        for a in range(0, count, _ROW_CHUNK):
+            b = min(a + _ROW_CHUNK, count)
+            lo, hi = int(indptr[a]), int(indptr[b])
+            dest = np.repeat(np.arange(a, b) * stride + (1 + lo) - indptr[a:b], deg[a:b])
+            dest += np.arange(hi - lo)
+            flat[dest] = nbrs[lo:hi]
         return out
 
     def _adjacency(self) -> list[list[int]]:
@@ -235,11 +242,15 @@ class Graph:
 
 
 def _mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending.  They come off the top, so each
+    step's operands shrink, where taking the low bit copies the whole mask
+    twice: that matters for the cleaning search's wide config-rank masks."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 

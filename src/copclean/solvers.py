@@ -10,7 +10,10 @@ Three engines share this module:
   searcher count; it is breadth first, so their witnesses are shortest plays.
   Its inner loop, once per successor, reads one keep mask per config (the
   vertices the config leaves unseen, built once per call) and does the
-  spread's two table lookups inline.
+  spread's two table lookups inline.  A successor depends only on the gas
+  mask and the config moved to, so one done mask per gas mask (the config
+  ranks already expanded from it) lets a state skip every move an earlier
+  state with the same gas has evaluated.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
   radius, solved by backward induction over sets of evader positions: one
   vertex mask per searcher configuration and side to move, grown round by
@@ -49,9 +52,9 @@ passed in (by identity, with a strong reference) and what was built for it.
 A threshold's loop over k, or a sweep asking several questions of one
 class, builds each table once.  A call on another graph empties the slot,
 so the tables of at most one graph are retained: for it, the spread tables,
-one set of configuration tables per searcher count k and one sight table
-per (k, l) asked, and whether the graph is connected.  The tables are
-tuples: callers share them, so none may change them.
+one set of configuration tables and successor masks per searcher count k,
+one sight table per (k, l) asked, and whether the graph is connected.  The
+tables are tuples: callers share them, so none may change them.
 
 Pursuit needs no game graph: its states are (configuration, vertex)
 pairs, so the won states of one configuration and side to move form one
@@ -211,6 +214,13 @@ def _config_tables(g: Graph, k: int, l: int):
     return cfgs, tuple(sights), closed, succs
 
 
+@_per_graph
+def _succ_bits(g: Graph, k: int):
+    """``succ_bits[c]``: the ranks of ``_configs``' ``succs[c]`` as one
+    mask, bit r set for each successor rank r."""
+    return tuple(sum(1 << r for r in sc) for sc in _configs(g, k)[2])
+
+
 def _joint_moves(g: Graph, k: int):
     """``moves[c]``: the successor rank of each joint step from config c in
     ``itertools.product`` order over the searchers' closed neighbourhoods
@@ -297,6 +307,17 @@ def solve_cleaning(
     whether it was).  Budget overrun raises TooLargeError whose ``partial``
     holds the bound certified so far (true min gas can only be lower, so
     partial.max_clean is a valid lower bound).
+
+    The successor of a state ``(c, gas)`` under a move to ``c2`` depends
+    only on ``(gas, c2)``, so a second evaluation of one pair changes
+    nothing: ``gas1`` and its count ``pc`` are those of the first, after
+    which ``best_gas <= pc``, so neither ``best_from`` nor the ``stop_at``
+    return can fire; ``key2`` is already in ``visited``, so ``states``,
+    ``parents`` and the order of the next frontier stay as they are; and
+    the budget check reads ``states``, so it fires at the same frontier
+    key.  ``done[gas]`` holds the ranks already expanded from a gas mask, in
+    an earlier level or this one, and a state expands ``succs[c]`` less
+    those, in ascending rank as before.
     """
     budget, (cfgs, sights, closed, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
@@ -304,8 +325,10 @@ def solve_cleaning(
     lo, hi, h = _spread(g)
     low = (1 << h) - 1
     keep = [full & ~s for s in sights]   # what config c leaves unseen
+    succ_bits = _succ_bits(g, k)
 
     visited = set()
+    done = {}   # gas mask -> mask of the config ranks expanded from it
     parents = {} if witness else None
 
     best_gas = n + 1
@@ -348,7 +371,16 @@ def solve_cleaning(
         nxt = []
         for key in frontier:
             gas = key & full
-            for c2 in succs[key >> n]:
+            c = key >> n
+            seen = done.get(gas)
+            if seen is None:
+                done[gas] = succ_bits[c]
+                todo = succs[c]
+            else:
+                rest = succ_bits[c] & ~seen
+                done[gas] = seen | rest
+                todo = _mask_bits(rest)
+            for c2 in todo:
                 kp = keep[c2]
                 gas1 = gas & kp
                 pc = gas1.bit_count()

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
-from copclean.families import complete
+from copclean import graphs
+from copclean.construction import ConstructionSpec, build_construction
+from copclean.families import complete, spider
 from copclean.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -360,11 +362,18 @@ def test_big_graph_uses_sparse_rows():
 
 def test_closed_rows_both_storages():
     rng = random.Random(5)
-    for n in (12, 80):   # either side of the 64-vertex limit of bit_rows
-        g = random_connected(n, rng)
-        rows = g.closed_rows(n - 2).tolist()
-        assert len(rows) == n - 2
-        width = 1 + max(g.degree(v) for v in range(n - 2))
+    # either side of the 64-vertex limit of bit_rows
+    cases = [(g, g.n - 2) for g in (random_connected(12, rng), random_connected(80, rng))]
+    # rows of degree 3, 2 and 1, all n of them, over more than one scatter chunk
+    legs = spider(3, graphs._ROW_CHUNK)
+    cases.append((legs, legs.n))
+    # the construction's outside blocks, as the blocking check reads them
+    cg = build_construction(ConstructionSpec(k=2, m=8))
+    cases.append((cg.graph, cg.blocks << cg.m))
+    for g, count in cases:
+        rows = g.closed_rows(count).tolist()
+        assert len(rows) == count
+        width = 1 + max(g.degree(v) for v in range(count))
         for v, row in enumerate(rows):
             want = [v] + g.neighbors(v)
             assert row == want + [-1] * (width - len(want))

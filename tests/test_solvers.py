@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from copclean.solvers import (
     _config_tables,
     _joint_moves,
     _spread,
+    _succ_bits,
     belief_capture_time,
     capture_number_limited,
     capture_possible_limited,
@@ -92,7 +94,8 @@ def test_config_tables_match_brute_force(small_connected):
 def test_tables_are_read_only():
     tables = _config_tables(cycle(5), 2, 1)
     cfgs, sights, closed, succs = tables
-    for table in (tables, cfgs, sights, closed, succs, succs[0], _joint_moves(cycle(5), 2)[0]):
+    for table in (tables, cfgs, sights, closed, succs, succs[0], _joint_moves(cycle(5), 2)[0],
+                  _succ_bits(cycle(5), 2)):
         assert isinstance(table, tuple)
 
 
@@ -119,7 +122,7 @@ def test_table_reuse_matches_cold_calls():
 
 def test_cleaning_matches_oracle_exhaustive(small_connected):
     for g in small_connected:
-        for k in (1, 2):
+        for k in (1, 2, 3):
             for l in (1, 2):
                 want = oracles.brute_clean(g, k, l)
                 got = max_clean(g, k, l)
@@ -167,6 +170,28 @@ def test_witness_replays_to_claimed_minimum(small_connected):
         assert run_script(g, see.witness).fully_cleaned_at is not None
         # states counts every search run, never 0 for a found answer
         assert see.value <= 2 and see.states == sum(searched[:see.value])
+
+
+def test_cleaning_outputs_pinned():
+    # every field of every search, witnesses, stop_at searches and a
+    # budget-capped partial included, on every class with n <= 6 and five
+    # named graphs; the digest is that of a search evaluating every
+    # (gas, move) pair, so skipping repeated pairs must change no byte
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += map(from_spec, ("cycle:12", "heawood", "petersen", "grid:3:4", "tree:16:3"))
+    digest = hashlib.sha256()
+    for g in graphs:
+        for k in (1, 2, 3):
+            for l in (0, 1, 2):
+                for stop in (None, 0, 1, 2):
+                    res = solve_cleaning(g, k, l, stop_at=stop, witness=True)
+                    digest.update(repr(res).encode() + b"\n")
+                try:
+                    res = solve_cleaning(g, k, l, witness=True, state_budget=7)
+                except TooLargeError as e:
+                    res = e.partial
+                digest.update(repr(res).encode() + b"\n")
+    assert digest.hexdigest() == "9e408af0263514cfe135301001e8e30dcc9f1d4e5ac1ec6d1eab8326b013d353"
 
 
 def test_stop_at_short_circuits():
