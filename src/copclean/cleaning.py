@@ -119,11 +119,12 @@ def step(g: Graph, state: CleaningState, moves, l: int):
     seen = sight(g, new_cops, l)
     cleaned = state.gas - seen
     after_clean = CleaningState(cops=new_cops, gas=cleaned, t=state.t + 1, phase=AFTER_CLEAN)
+    # cleaned and seen are disjoint, so taking seen out once at the end
+    # leaves cleaned plus its unseen neighbours
     spread = set(cleaned)
     for v in cleaned:
-        for w in g.neighbors(v):
-            if w not in seen:
-                spread.add(w)
+        spread.update(g.neighbors(v))
+    spread -= seen
     after_spread = CleaningState(
         cops=new_cops, gas=frozenset(spread), t=state.t + 1, phase=AFTER_SPREAD
     )

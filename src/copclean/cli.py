@@ -135,9 +135,8 @@ def cmd_clean_sim(args) -> int:
 def cmd_construct(args) -> int:
     if args.check == "sampled":
         # refused before any work: at m=16 the build takes about 0.3 s and
-        # the blocking check about 1 s
-        if args.samples < 1:
-            raise BadParamError("sampled blocking check needs samples >= 1")
+        # the blocking check of a million pairs about 0.3 s
+        cons._check_samples(args.samples)
         stochastic._check_seed(args.seed)
     partition = None
     if args.partition:
@@ -480,8 +479,7 @@ def _suite_girth_bound(args):
 
 
 def _suite_construction(args):
-    if args.samples < 1:
-        raise BadParamError("sampled blocking check needs samples >= 1")
+    cons._check_samples(args.samples)
     out = {}
     cg12 = cons.build_construction(cons.ConstructionSpec(k=2, m=12))
     rep12 = cons.check_blocking(cg12, mode="exhaustive")

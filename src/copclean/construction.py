@@ -221,38 +221,64 @@ def _blocked_types(cg: ConstructionGraph, evader: int, searcher: int, searcher_a
     return out
 
 
-_CHUNK = 1 << 16   # pairs per kernel step
+_CHUNK = 1 << 13   # pairs per kernel step; keeps the temporaries in cache
 
 
 def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.ndarray) -> np.ndarray:
-    """len(_blocked_types(cg, ev, se, ...)) for every pair at once.
+    """len(_blocked_types(cg, ev, se, ...)) for every pair at once, in one
+    pass over each searcher's closed row.
 
     A type q of an evader (i, a) is blocked when the searcher's closed row
-    holds a vertex (j, (a + 2^q) mod 2^m) with j != i and j < blocks, which
-    is exactly "the searcher occupies or is adjacent to a landing vertex"."""
+    holds a landing vertex (j, (a + 2^q) mod 2^m) with j != i, which is
+    exactly "the searcher occupies or is adjacent to a landing vertex".  So
+    an entry (j, r) of the row lands type q iff all three hold:
+
+    * j != i;
+    * j is an outside block, not a pad (-1) and not a hub;
+    * d = (r - a) mod 2^m equals 2^q, with q in class(i).
+
+    Each entry therefore names at most one type, the bit d, and only when d
+    is a power of two.  The kernel keeps d where the entry passes the block
+    tests and d is a power of two, ANDs it with the class mask of block i
+    (the OR of 2^q over class(i)), ORs each row's bits together and counts
+    them.  The power-of-two test must come before the AND: d = 2^q + 2^r
+    with r outside the class would otherwise pass as 2^q."""
     outside = cg.blocks << cg.m
     closed = cg.graph.closed_rows(outside)
     mask = (1 << cg.m) - 1
-    width = max(len(cls) for cls in cg.partition)
-    # steps[i, t] = 2^q for the t-th type of block i; -1 pads short classes
-    steps = np.full((cg.blocks, width), -1, dtype=np.int64)
-    for i, cls in enumerate(cg.partition):
-        steps[i, :len(cls)] = [1 << q for q in cls]
+    class_bits = np.array([sum(1 << q for q in cls) for cls in cg.partition], dtype=np.int32)
     counts = np.empty(len(evaders), dtype=np.int32)
     for lo in range(0, len(evaders), _CHUNK):
         ev = evaders[lo:lo + _CHUNK]
-        i = ev >> cg.m
-        a = ev & mask
+        i = (ev >> cg.m).astype(np.int32)
         row = closed[searchers[lo:lo + _CHUNK]]
-        # residues of the row's vertices in another outside block; -1 else
-        other = (row >= 0) & (row < outside) & ((row >> cg.m) != i[:, None])
-        row = np.where(other, row & mask, -1)
-        n = np.zeros(len(ev), dtype=np.int32)
-        for step in steps[i].T:
-            c = np.where(step < 0, -2, (a + step) & mask)
-            n += (row == c[:, None]).any(1)
-        counts[lo:lo + _CHUNK] = n
+        d = row - (ev & mask).astype(np.int32)[:, None]
+        d &= mask
+        block = row >> cg.m
+        lands = (d & (d - 1)) == 0
+        lands &= block != i[:, None]
+        # pads shift to -1, hubs to cg.blocks: both fail the unsigned test
+        lands &= block.view(np.uint32) < cg.blocks
+        d &= class_bits[i][:, None]
+        d *= lands
+        bits = np.bitwise_or.reduce(d, axis=1)
+        counts[lo:lo + _CHUNK] = sum((bits >> q) & 1 for q in range(cg.m))
     return counts
+
+
+MAX_SAMPLES = 1 << 24
+
+
+def _check_samples(samples: int) -> None:
+    """Refuse a sampled check's pair count before anything is built: below
+    one there is nothing to check, and above ``MAX_SAMPLES`` the three int64
+    arrays of ``_sample_pairs`` alone would pass 400 MB (24 GB at 10^9)."""
+    if samples < 1:
+        raise BadParamError("sampled blocking check needs samples >= 1")
+    if samples > MAX_SAMPLES:
+        raise UnsupportedSizeError(
+            f"sampled blocking check of {samples} pairs is above the cap of {MAX_SAMPLES}"
+        )
 
 
 def _sample_pairs(outside: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +307,9 @@ def check_blocking(
     pairs of distinct outside vertices.
 
     Both modes list (evader, searcher) pairs and hand them to one numpy
-    kernel, which counts the blocked types of every pair from the built
-    graph's adjacency.  The first ``max_violations`` pairs that block more
+    kernel, ``_blocked_counts``, which reads each searcher's closed row of
+    the built graph once per pair and turns every entry into at most one
+    blocked type bit.  The first ``max_violations`` pairs that block more
     than one type are re-judged by ``_blocked_types``, the per-pair
     reference, in the order the pairs were listed.
 
@@ -290,7 +317,8 @@ def check_blocking(
     constant is an automorphism (all edges depend on residue differences
     only), so pinning the evader's residue at 0 covers every pair; the
     reported pair count is the full ordered total.  Sampled mode checks
-    ``samples`` (at least one) random pairs from ``_sample_pairs``: one PCG64
+    ``samples`` random pairs from ``_sample_pairs``, refused by
+    ``_check_samples`` unless 1 <= samples <= ``MAX_SAMPLES``: one PCG64
     generator seeded with ``seed`` draws every evader, then every offset to
     its searcher, which makes each pair uniform over the ordered pairs of
     distinct outside vertices.
@@ -305,8 +333,7 @@ def check_blocking(
         evaders, searchers = evaders[keep], searchers[keep]
         checked, extra = outside * (outside - 1), {}
     elif mode == "sampled":
-        if samples < 1:
-            raise BadParamError("sampled blocking check needs samples >= 1")
+        _check_samples(samples)
         evaders, searchers = _sample_pairs(outside, samples, seed)
         checked, extra = samples, {"samples": samples, "seed": seed}
     else:
@@ -339,14 +366,15 @@ def check_middle_dominating(cg: ConstructionGraph) -> bool:
         for j in range(i + 1, cg.blocks):
             if not g.adjacent(h, cg.hub_id(j)):
                 return False
-        deg = g.degree(h)
-        if deg != cg.block_size + cg.blocks - 1:
+        if g.degree(h) != cg.block_size + cg.blocks - 1:
             return False
-        row = set(g.neighbors(h))
+        # the clique tests so far put all 2k - 1 other hubs in h's row, so
+        # the degree leaves exactly 2^m other entries; every hub id is above
+        # every outside id and the row is sorted, so those entries come
+        # first, and block i is covered iff they are its 2^m vertices
         base = i << cg.m
-        for a in range(cg.block_size):
-            if base + a not in row:
-                return False
+        if g.neighbors(h)[:cg.block_size] != list(range(base, base + cg.block_size)):
+            return False
     return True
 
 

@@ -162,6 +162,11 @@ def test_step_invariants(gs):
         for v in grown:
             assert v not in seen
             assert any(w in after_clean.gas for w in g.neighbors(v))
+        # and every unseen neighbour of surviving gas is gassed
+        reach = set(after_clean.gas)
+        for v in after_clean.gas:
+            reach.update(g.neighbors(v))
+        assert after_spread.gas == frozenset(reach) - seen
         state = after_spread
 
 

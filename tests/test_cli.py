@@ -192,6 +192,22 @@ def test_blocking_samples_must_be_positive(capsys, monkeypatch):
         assert json.loads(err)["error"] == "BAD_PARAM"
 
 
+def test_blocking_samples_over_cap(capsys, monkeypatch):
+    # a count just above the cap of 2^24 is refused before any graph is
+    # built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a construction before checking --samples")
+
+    monkeypatch.setattr("copclean.construction.build_construction", no_build)
+    over = str((1 << 24) + 1)
+    for argv in (("construct", "--k", "2", "--m", "8", "--check", "sampled", "--samples", over),
+                 ("verify", "--suite", "construction", "--samples", over)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "UNSUPPORTED_SIZE"
+
+
 def test_negative_seed_is_bad_param(capsys, monkeypatch):
     # construct refuses the seed before it builds anything
     def no_build(*args, **kwargs):

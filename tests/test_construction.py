@@ -1,12 +1,14 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from copclean.cleaning import run_script
 from copclean.construction import (
+    MAX_SAMPLES,
     ConstructionSpec,
     _blocked_counts,
     _blocked_types,
@@ -20,6 +22,7 @@ from copclean.construction import (
 )
 from copclean.errors import BadParamError, UnsupportedSizeError
 from copclean.families import from_spec
+from copclean.graphs import Graph
 
 ADVERSARIAL = ((0, 2), (1, 5), (3, 6), (4, 7))
 
@@ -139,6 +142,18 @@ def test_middle_dominates():
     assert check_middle_dominating(build(k=2, m=8))
 
 
+def test_middle_domination_fails_on_a_moved_spoke():
+    # hub 0 trades its spoke to (0, 5) for one to (1, 5): every degree and
+    # the hub clique stay as built, but block 0 is no longer covered
+    cg = build(k=2, m=8)
+    h, lost, gained = cg.hub_id(0), cg.vertex_id(0, 5), cg.vertex_id(1, 5)
+    edges = [(h, gained) if e == (lost, h) else e for e in cg.graph.edges()]
+    assert len(edges) == cg.graph.edge_count() and (lost, h) not in edges
+    moved = replace(cg, graph=Graph.from_edges(cg.graph.n, edges))
+    assert moved.graph.degree(h) == cg.graph.degree(h)
+    assert not check_middle_dominating(moved)
+
+
 def test_spacing_enforced_unless_escaped():
     with pytest.raises(BadParamError):
         build(k=2, m=8, partition=ADVERSARIAL)
@@ -244,6 +259,34 @@ def test_blocking_sampled_matches_pairwise_recount():
         assert len(rep.violations) == 5 and not rep.passed
 
 
+# an unspaced m=12 partition with classes of 4, 2, 3 and 3 positions, so
+# the kernel's rows mix types of unequal classes
+UNEQUAL_M12 = ((0, 3, 5, 9), (7, 11), (1, 4, 10), (2, 6, 8))
+
+# SHA-256 of the int32 counts over _sample_pairs(outside, 200_000, 7)
+BLOCKED_COUNTS_SHA256 = {
+    None: "aa29552712423d340e10889e677781a042aa7b71e11cb70d304b10f7616a345f",
+    UNEQUAL_M12: "3da26502314b95ea8d729c15717315641367bc05f09e36f5b399f96568337d43",
+}
+
+
+def test_blocked_counts_pinned():
+    for partition, expected in BLOCKED_COUNTS_SHA256.items():
+        cg = build(m=12, partition=partition, allow_bad=True)
+        ev, se = _sample_pairs(cg.blocks << cg.m, 200_000, 7)
+        counts = _blocked_counts(cg, ev, se)
+        assert counts.dtype == np.int32
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == expected, partition
+
+
+def test_blocked_counts_match_reference_unequal_classes():
+    cg = build(m=12, partition=UNEQUAL_M12, allow_bad=True)
+    ev, se = _sample_pairs(cg.blocks << cg.m, 3000, 0)
+    counts = _blocked_counts(cg, ev, se).tolist()
+    for n, e, s in zip(counts, ev.tolist(), se.tolist()):
+        assert n == len(_blocked_types(cg, e, s, set(cg.graph.neighbors(s)))), (e, s)
+
+
 def test_sampled_pairs_are_distinct_and_uniform():
     # each pair is uniform over the ordered pairs of distinct outside
     # vertices, so each vertex is the evader, and the searcher, with
@@ -272,6 +315,26 @@ def test_blocking_sampled_needs_a_sample():
     for samples in (0, -5):
         with pytest.raises(BadParamError):
             check_blocking(cg, mode="sampled", samples=samples)
+
+
+def test_blocking_sampled_count_capped(monkeypatch):
+    # a count over the cap is refused before any pair is drawn
+    cg = build(k=2, m=8)
+
+    def no_draw(*args):
+        raise AssertionError("drew pairs before checking the count")
+
+    monkeypatch.setattr("copclean.construction._sample_pairs", no_draw)
+    with pytest.raises(UnsupportedSizeError):
+        check_blocking(cg, mode="sampled", samples=MAX_SAMPLES + 1)
+
+
+def test_short_script_trace_pinned():
+    # the reference engine's full trace of one searcher on the m=12 graph
+    cg = build(m=12)
+    lines = run_script(cg.graph, scripted_seeing_strategy(cg, cops=1)).to_json_lines()
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "4e63236481a90202f9bca4966c04e505a89a2faa40d33eb2ba582953d516fc17")
 
 
 def test_scripted_strategy_cleans_on_first_turn():
