@@ -7,9 +7,14 @@ positions is cleaned, then the remaining gas spreads one simultaneous round
 into adjacent unseen vertices.  At placement (t=0) the initial sight is
 cleaned and no spread happens.
 
-This module favours clarity over speed: states are plain tuples and
-frozensets so traces can be serialized, replayed, and eyeballed.  The fast
-search lives in :mod:`copclean.solvers` and is checked against this engine.
+States stay plain tuples and frozensets so traces can be serialized,
+replayed, and eyeballed.  A step works on boolean vertex masks over the
+graph's CSR arrays (``Graph.closed_ball`` for the sight,
+``Graph.adjacent_to`` for the spread) and makes frozensets only for the
+states it returns, so one path serves a 5-cycle and the 262,148-vertex
+block graph alike.  The fast search lives in :mod:`copclean.solvers` and is
+checked against this engine; ``tests/oracles.py`` keeps a plain-set step
+that checks this one.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import BadParamError, IllegalMoveError, VertexRangeError
-from .graphs import Graph, closed_l_neighborhood
+from .graphs import Graph
 
 AFTER_CLEAN = "AFTER_CLEAN"
 AFTER_SPREAD = "AFTER_SPREAD"
@@ -85,11 +92,12 @@ class Trace:
         return "\n".join(json.dumps(s.to_dict(), sort_keys=True) for s in self.states) + "\n"
 
 
+def _as_set(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def sight(g: Graph, cops, l: int) -> frozenset[int]:
-    seen: set[int] = set()
-    for c in cops:
-        seen |= closed_l_neighborhood(g, c, l)
-    return frozenset(seen)
+    return _as_set(g.closed_ball(cops, l))
 
 
 def init_state(g: Graph, placements, l: int) -> CleaningState:
@@ -101,7 +109,7 @@ def init_state(g: Graph, placements, l: int) -> CleaningState:
     for c in place:
         if not 0 <= c < g.n:
             raise VertexRangeError(f"placement {c} out of range")
-    gas = frozenset(range(g.n)) - sight(g, place, l)
+    gas = _as_set(~g.closed_ball(place, l))
     return CleaningState(cops=place, gas=gas, t=0, phase=AFTER_CLEAN)
 
 
@@ -116,18 +124,18 @@ def step(g: Graph, state: CleaningState, moves, l: int):
         if m != c and not g.adjacent(c, m):
             raise IllegalMoveError(f"searcher at {c} cannot reach {m} in one step")
     new_cops = tuple(sorted(moves))
-    seen = sight(g, new_cops, l)
-    cleaned = state.gas - seen
-    after_clean = CleaningState(cops=new_cops, gas=cleaned, t=state.t + 1, phase=AFTER_CLEAN)
-    # cleaned and seen are disjoint, so taking seen out once at the end
-    # leaves cleaned plus its unseen neighbours
-    spread = set(cleaned)
-    for v in cleaned:
-        spread.update(g.neighbors(v))
-    spread -= seen
-    after_spread = CleaningState(
-        cops=new_cops, gas=frozenset(spread), t=state.t + 1, phase=AFTER_SPREAD
-    )
+    unseen = ~g.closed_ball(new_cops, l)
+    gas = np.zeros(g.n, dtype=bool)
+    gas[np.fromiter(state.gas, dtype=np.int64, count=len(state.gas))] = True
+    cleaned = gas & unseen
+    # cleaned is unseen already, so only its neighbours need the sight test
+    spread = g.adjacent_to(cleaned)
+    spread &= unseen
+    spread |= cleaned
+    after_clean = CleaningState(cops=new_cops, gas=_as_set(cleaned), t=state.t + 1,
+                                phase=AFTER_CLEAN)
+    after_spread = CleaningState(cops=new_cops, gas=_as_set(spread), t=state.t + 1,
+                                 phase=AFTER_SPREAD)
     return after_clean, after_spread
 
 

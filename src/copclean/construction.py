@@ -27,7 +27,7 @@ import numpy as np
 
 from .cleaning import StrategyScript
 from .errors import BadParamError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph
 from .stochastic import _seeded_rng
 
 
@@ -50,6 +50,13 @@ class ConstructionSpec:
             raise UnsupportedSizeError(
                 f"k={self.k}, m={m} gives {parts} * (2^{m} + 1) vertices, "
                 f"above the cap of {MAX_VERTICES}"
+            )
+        # the endpoint pairs build_construction lists: a row of 2^m per
+        # (block, step, other block) and per hub's spokes, then the clique
+        edges = ((m * (parts - 1) + parts) << m) + parts * (parts - 1) // 2
+        if edges > MAX_EDGES:
+            raise UnsupportedSizeError(
+                f"k={self.k}, m={m} gives {edges} edges, above the cap of {MAX_EDGES}"
             )
         part = self.partition if self.partition is not None else default_partition(self.k, m)
         _validate_partition(part, m, parts)
@@ -373,7 +380,7 @@ def check_middle_dominating(cg: ConstructionGraph) -> bool:
         # every outside id and the row is sorted, so those entries come
         # first, and block i is covered iff they are its 2^m vertices
         base = i << cg.m
-        if g.neighbors(h)[:cg.block_size] != list(range(base, base + cg.block_size)):
+        if not np.array_equal(g.row(h)[:cg.block_size], np.arange(base, base + cg.block_size)):
             return False
     return True
 

@@ -6,6 +6,12 @@ Graphs on at most 64 vertices also expose ``bit_rows``, one adjacency
 bitmask per vertex, built from the CSR pair on first read; the game solvers
 work on those.
 
+Graphs of every size share one CSR kernel over boolean vertex masks:
+``Graph.adjacent_to`` flags the neighbours of a mask in one numpy scatter,
+and ``Graph.closed_ball`` layers it into the closed radius-l ball of a
+vertex set.  The cleaning engine steps on these masks, and
+``closed_l_neighborhood`` is the same ball as a frozenset.
+
 Also here: the graph6 codec, structural metrics (degrees, girth, diameter,
 distance-l degrees), canonical forms, and an exhaustive enumerator of
 connected graphs by isomorphism class.
@@ -130,9 +136,13 @@ class Graph:
 
     def neighbors(self, v: int):
         """Open neighbourhood of v, sorted ascending."""
+        return self.row(v).tolist()
+
+    def row(self, v: int) -> np.ndarray:
+        """Open neighbourhood of v as a read-only int32 view of ``nbrs``."""
         if not 0 <= v < self.n:
             raise VertexRangeError(f"vertex {v} out of range")
-        return self._nbrs[self._indptr[v]:self._indptr[v + 1]].tolist()
+        return self._nbrs[self._indptr[v]:self._indptr[v + 1]]
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -225,6 +235,35 @@ class Graph:
     def is_connected(self) -> bool:
         return -1 not in self.bfs_dist(0)
 
+    def adjacent_to(self, mask: np.ndarray) -> np.ndarray:
+        """Boolean vertex mask of every neighbour of a vertex in ``mask``.
+
+        ``np.repeat(mask, deg)`` flags the arcs leaving the vertices of
+        ``mask``, in CSR order, so their heads are the flagged entries of
+        ``nbrs``; an empty row repeats nothing."""
+        out = np.zeros(self.n, dtype=bool)
+        out[self._nbrs[np.repeat(mask, np.diff(self._indptr))]] = True
+        return out
+
+    def closed_ball(self, vertices: Iterable[int], l: int) -> np.ndarray:
+        """Boolean vertex mask of the closed radius-l ball around a vertex
+        set: ``adjacent_to`` layered l times from the vertices themselves,
+        each layer keeping only what the ball does not hold yet."""
+        if l < 0:
+            raise BadParamError("radius must be >= 0")
+        reach = np.zeros(self.n, dtype=bool)
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise VertexRangeError(f"vertex {v} out of range")
+            reach[v] = True
+        frontier = reach
+        for _ in range(l):
+            frontier = self.adjacent_to(frontier) & ~reach
+            if not frontier.any():
+                break
+            reach |= frontier
+        return reach
+
     def closed_l_mask(self, v: int, l: int) -> int:
         """Bitmask of the closed distance-l ball around v (n <= 64 only)."""
         rows = self.bit_rows
@@ -255,24 +294,8 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 def closed_l_neighborhood(g: Graph, v: int, l: int) -> frozenset[int]:
-    """Closed ball of radius l around v, by breadth-first layering."""
-    if l < 0:
-        raise BadParamError("radius must be >= 0")
-    if not 0 <= v < g.n:
-        raise VertexRangeError(f"vertex {v} out of range")
-    reach = {v}
-    frontier = [v]
-    for _ in range(l):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in reach:
-                    reach.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(reach)
+    """Closed ball of radius l around v: ``Graph.closed_ball`` as a set."""
+    return frozenset(np.flatnonzero(g.closed_ball((v,), l)).tolist())
 
 
 # -- metrics ---------------------------------------------------------------

@@ -126,6 +126,25 @@ def spread(g: Graph, gas: frozenset, sight: frozenset) -> frozenset:
     return frozenset(grown)
 
 
+def plain_run_script(g: Graph, l: int, place, turns) -> list[dict]:
+    """Every snapshot of a scripted play on plain sets, shaped as the
+    engine's ``CleaningState.to_dict``: placement, then after-clean and
+    after-spread per turn.  Each step is the per-vertex set loop: the sight
+    is a union of breadth-first balls, and every gas vertex left after
+    cleaning adds its unseen neighbours."""
+    cops = tuple(sorted(place))
+    gas = frozenset(range(g.n)) - seen_by(g, cops, l)
+    out = [{"t": 0, "phase": "AFTER_CLEAN", "cops": list(cops), "gas": sorted(gas)}]
+    for t, targets in enumerate(turns, 1):
+        cops = tuple(sorted(targets))
+        sight = seen_by(g, cops, l)
+        cleaned = gas - sight
+        gas = spread(g, cleaned, sight)
+        out.append({"t": t, "phase": "AFTER_CLEAN", "cops": list(cops), "gas": sorted(cleaned)})
+        out.append({"t": t, "phase": "AFTER_SPREAD", "cops": list(cops), "gas": sorted(gas)})
+    return out
+
+
 def clean_reachable_states(g: Graph, k: int, l: int):
     """Every (cops, gas) snapshot after a clean, by plain breadth first
     search over the full game tree."""

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from copclean.cleaning import (
     AFTER_CLEAN,
     AFTER_SPREAD,
@@ -13,8 +14,10 @@ from copclean.cleaning import (
     sight,
     step,
 )
+from copclean.construction import ConstructionSpec, build_construction, scripted_seeing_strategy
 from copclean.errors import BadParamError, IllegalMoveError, VertexRangeError
 from copclean.families import cycle, path
+from copclean.graphs import Graph, closed_l_neighborhood, enumerate_connected
 from conftest import random_connected
 
 
@@ -203,3 +206,57 @@ def test_parked_extra_searcher_never_hurts(gs):
         aug_cops = tuple(sorted(aug))
     wider = StrategyScript(l=script.l, place=extra_place, turns=tuple(aug_turns))
     assert run_script(g, wider).min_gas <= run_script(g, script).min_gas
+
+
+def _referee_graphs():
+    """Every class on at most six vertices, then a graph with an isolated
+    vertex and the one-vertex graph: empty CSR rows and an empty ``nbrs``."""
+    out = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    out.append(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]))
+    out.append(Graph.from_edges(1, []))
+    return out
+
+
+def _random_walk(g, k, l, rng, turns=4):
+    place = tuple(rng.randrange(g.n) for _ in range(k))
+    cops, script = tuple(sorted(place)), []
+    for _ in range(turns):
+        targets = tuple(rng.choice([c] + g.neighbors(c)) for c in cops)
+        script.append(targets)
+        cops = tuple(sorted(targets))
+    return StrategyScript(l=l, place=place, turns=tuple(script))
+
+
+def _assert_matches_plain_sets(g, script):
+    trace = run_script(g, script)
+    want = oracles.plain_run_script(g, script.l, script.place, script.turns)
+    assert [s.to_dict() for s in trace.states] == want
+    cleaned = [s["gas"] for s in want if s["phase"] == AFTER_CLEAN]
+    assert trace.min_gas == min(map(len, cleaned))
+    assert trace.fully_cleaned_at == next((t for t, gas in enumerate(cleaned) if not gas), None)
+
+
+def test_engine_matches_plain_set_steps():
+    rng = random.Random(20)
+    for g in _referee_graphs():
+        for k in (1, 2):
+            for l in (0, 1, 2):
+                _assert_matches_plain_sets(g, _random_walk(g, k, l, rng))
+
+
+def test_construction_scripts_match_plain_set_steps():
+    cg = build_construction(ConstructionSpec(k=2, m=8))
+    for cops in (1, 2):
+        _assert_matches_plain_sets(cg.graph, scripted_seeing_strategy(cg, cops=cops))
+
+
+def test_closed_l_neighborhood_is_the_bfs_ball():
+    cg = build_construction(ConstructionSpec(k=2, m=8))
+    probes = [(g, range(g.n)) for g in _referee_graphs()]
+    probes.append((cg.graph, [0, 1, 300, 777, cg.hub_id(0), cg.hub_id(3)]))
+    for g, vertices in probes:
+        for v in vertices:
+            dist = g.bfs_dist(v)
+            for l in range(4):
+                want = {w for w, d in enumerate(dist) if 0 <= d <= l}
+                assert closed_l_neighborhood(g, v, l) == want, (g, v, l)

@@ -67,8 +67,10 @@ def test_spec_defaults_and_validation():
 
 
 def test_spec_vertex_cap():
-    # n = 2k * (2^m + 1); the cap is 2^20 and is checked before any allocation
-    assert ConstructionSpec(k=1, m=18).resolved()[0] == 18     # 524,290 vertices
+    # n = 2k * (2^m + 1); the cap is 2^20 and is checked before any allocation.
+    # k=1, m=18 has 524,290 vertices but 5,242,881 edges, over the edge cap
+    with pytest.raises(UnsupportedSizeError):
+        ConstructionSpec(k=1, m=18).resolved()
     for spec in (ConstructionSpec(k=1, m=20), ConstructionSpec(k=2, m=20),
                  ConstructionSpec(k=3), ConstructionSpec(k=1, m=10**12)):
         with pytest.raises(UnsupportedSizeError):
@@ -76,6 +78,23 @@ def test_spec_vertex_cap():
     with pytest.raises(UnsupportedSizeError) as e:
         build_construction(ConstructionSpec(k=3))          # m=36: 6 * (2^36 + 1)
     assert e.value.code == "UNSUPPORTED_SIZE"
+
+
+def test_spec_edge_cap():
+    # (m(2k-1) + 2k) * 2^m + C(2k, 2) endpoint pairs, refused before any
+    # array is filled and named by k and m
+    assert build(k=2, m=8).graph.edge_count() == (8 * 3 + 4) * 256 + 6
+    assert ConstructionSpec(k=2, m=16).resolved()[0] == 16     # 3,407,878 edges
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedSizeError, match="^k=1, m=18 gives 5242881 edges"):
+            build(k=1, m=18, allow_bad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(UnsupportedSizeError, match="^k=4, m=16 gives 7864348 edges"):
+        ConstructionSpec(k=4, m=16).resolved()                 # 524,296 vertices
 
 
 def test_default_partition_spacing():

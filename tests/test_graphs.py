@@ -107,6 +107,26 @@ def test_closed_neighborhood():
     assert closed_l_neighborhood(g, 2, 1) == {1, 2, 3}
     assert closed_l_neighborhood(g, 0, 3) == {0, 1, 2, 3}
     assert closed_l_neighborhood(g, 0, 99) == set(range(6))
+    with pytest.raises(BadParamError):
+        closed_l_neighborhood(g, 0, -1)
+    with pytest.raises(VertexRangeError):
+        closed_l_neighborhood(g, 6, 1)
+
+
+def test_mask_kernel():
+    # vertex 5 is isolated: its empty row adds nothing and nothing reaches it
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4)])
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        mask = rng.random(g.n) < 0.4
+        want = {w for v in np.flatnonzero(mask).tolist() for w in g.neighbors(v)}
+        assert set(np.flatnonzero(g.adjacent_to(mask)).tolist()) == want
+    assert g.closed_ball((5,), 3).tolist() == [False] * 5 + [True]
+    assert np.flatnonzero(g.closed_ball((3, 4), 1)).tolist() == [0, 2, 3, 4]
+    assert np.flatnonzero(g.closed_ball((), 2)).tolist() == []
+    assert g.row(0).tolist() == g.neighbors(0) == [1, 4] and not g.row(0).flags.writeable
+    one = Graph.from_edges(1, [])
+    assert one.adjacent_to(np.ones(1, dtype=bool)).tolist() == [False]
 
 
 def test_metrics_sentinels():
