@@ -598,6 +598,36 @@ def graph_from_key(key: int, n: int) -> Graph:
     return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"])
 
 
+def _automorphisms(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with bit rows ``rows``, as a tuple
+    ``p`` with ``p[i]`` the image of vertex i, the identity first.
+
+    Backtracking assigns images to 0, 1, ... in turn.  Vertex i may go to
+    an unused w of its degree whose adjacency to the images already placed
+    is exactly the image of i's adjacency to 0..i-1, so every full
+    assignment preserves adjacency and every automorphism is reached.  The
+    lowest candidate is tried first, so the first one found is the
+    identity."""
+    deg = [r.bit_count() for r in rows]
+    same = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
+    back = [_mask_bits(rows[i] & (1 << i) - 1) for i in range(n)]   # i's earlier neighbours
+    out = []
+    image = [0] * n   # image[j]: the bit of vertex j's image
+
+    def extend(i, used):
+        if i == n:
+            out.append(tuple(b.bit_length() - 1 for b in image))
+            return
+        want = sum([image[j] for j in back[i]])
+        for w in same[i]:
+            if not used >> w & 1 and rows[w] & used == want:
+                image[i] = 1 << w
+                extend(i + 1, used | 1 << w)
+
+    extend(0, 0)
+    return out
+
+
 ENUM_MAX_N = 9
 _levels_cache: dict[int, tuple[int, ...]] = {}
 
@@ -618,7 +648,20 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
     invariant.  The class of G-u is in level t-1; extending its
     representative by the image of N(u) gives a child isomorphic to G whose
     new vertex carries u's invariant, so that child passes both tests.
-    Surviving isomorphic children still meet in ``seen``.
+
+    Only one child per orbit of the parent's automorphism group on masks
+    is certified, the one of least mask (B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  Any pi in Aut(P)
+    extends to an isomorphism from child(mask) to child(pi(mask)) that
+    fixes the new vertex.  Both tests are invariant under such a map: the
+    degree test reads the new vertex's degree against every degree, the
+    tied test its invariant against those of the vertices of its degree.
+    So an orbit passes or fails as one unit, its children share one key,
+    and certifying its least mask adds that key to ``seen`` as certifying
+    every member would.  Masks are met in ascending order, and the first
+    member of an orbit to pass the degree test marks every image, so the
+    others are skipped.  Surviving isomorphic children of distinct orbits
+    or parents still meet in ``seen``.
     """
     if t in _levels_cache:
         return _levels_cache[t]
@@ -635,10 +678,16 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
         for i, d in enumerate(pdeg):
             at_deg[d] |= 1 << i
         top = max(pdeg)
+        # each non-identity automorphism as one image bit per vertex
+        images = [[1 << w for w in p] for p in _automorphisms(prows, new)[1:]]
+        marked = set()   # masks in the orbit of a mask already met
         for mask in range(1 << new):
             d = mask.bit_count()
-            if d < top or mask & at_deg[d]:
+            if d < top or mask & at_deg[d] or mask in marked:
                 continue
+            if images:
+                bits = _mask_bits(mask)
+                marked.update(sum([im[i] for i in bits]) for im in images)
             rows = tuple(r | ((mask >> i & 1) << new) for i, r in enumerate(prows)) + (mask,)
             tied = mask & at_deg[d - 1]
             if tied:

@@ -39,22 +39,27 @@ Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
 connectivity, in that order, then resolves the state budget and reads one
 shared bitmask layer: ``_config_tables`` enumerates the searcher
-configurations with their sight masks, closed neighbourhoods and successor
-ranks, and ``_spread`` gives the tables of the neighbour union of a vertex
-mask (the gas spread of the cleaning game, the evader's step in
-limited-sight capture), which both engines look up inline.
-``_joint_moves``, the successor of every joint step in product order, is
-built only for the per-searcher random chain, the one reader that weighs
-steps.
+configurations with their sight masks and closed neighbourhoods.  The
+tables a search reads only once it expands a state are built on first
+read: ``_succs``, the successor ranks of each configuration, with
+``_succ_bits``, the same ranks as one mask, and ``_spread``, the tables of
+the neighbour union of a vertex mask (the gas spread of the cleaning game,
+the evader's step in limited-sight capture), which both engines look up
+inline.  ``solve_cleaning`` asks for them only once its placements have
+not settled the question, so a sweep's ``cleanable`` that some placement
+already answers builds none of them.  ``_joint_moves``, the successor of
+every joint step in product order, is built only for the per-searcher
+random chain, the one reader that weighs steps.
 
 The layer keeps the tables of one graph: a slot holds the last ``Graph``
 passed in (by identity, with a strong reference) and what was built for it.
 A threshold's loop over k, or a sweep asking several questions of one
 class, builds each table once.  A call on another graph empties the slot,
 so the tables of at most one graph are retained: for it, the spread tables,
-one set of configuration tables and successor masks per searcher count k,
-one sight table per (k, l) asked, and whether the graph is connected.  The
-tables are tuples: callers share them, so none may change them.
+one set of configurations and, once read, successor tables per searcher
+count k, one sight table per (k, l) asked, and whether the graph is
+connected.  The tables are tuples: callers share them, so none may change
+them.
 
 Pursuit needs no game graph: its states are (configuration, vertex)
 pairs, so the won states of one configuration and side to move form one
@@ -189,21 +194,19 @@ def _step_ranks(cfgs, closed, distinct):
 @_per_graph
 def _configs(g: Graph, k: int):
     """Configs (multisets of k vertices) in
-    ``combinations_with_replacement`` order (a config's rank is its index),
-    ``closed[v]``, v's closed neighbourhood mask, and ``succs[c]``, the
-    ranks one joint step from config c reaches, ascending."""
+    ``combinations_with_replacement`` order (a config's rank is its index)
+    and ``closed[v]``, v's closed neighbourhood mask."""
     n = g.n
     rows = g.bit_rows
     closed = tuple(rows[v] | 1 << v for v in range(n))
-    cfgs = tuple(itertools.combinations_with_replacement(range(n), k))
-    return cfgs, closed, _step_ranks(cfgs, closed, True)
+    return tuple(itertools.combinations_with_replacement(range(n), k)), closed
 
 
 @_per_graph
 def _config_tables(g: Graph, k: int, l: int):
-    """``(cfgs, sights, closed, succs)``: ``_configs`` with ``sights[c]``,
-    the mask the searchers of config c see with sight l."""
-    cfgs, closed, succs = _configs(g, k)
+    """``(cfgs, sights, closed)``: ``_configs`` with ``sights[c]``, the
+    mask the searchers of config c see with sight l."""
+    cfgs, closed = _configs(g, k)
     sight1 = [g.closed_l_mask(v, l) for v in range(g.n)]
     sights = []
     for cfg in cfgs:
@@ -211,14 +214,22 @@ def _config_tables(g: Graph, k: int, l: int):
         for v in cfg:
             s |= sight1[v]
         sights.append(s)
-    return cfgs, tuple(sights), closed, succs
+    return cfgs, tuple(sights), closed
+
+
+@_per_graph
+def _succs(g: Graph, k: int):
+    """``succs[c]``: the ranks one joint step from config c reaches,
+    ascending.  Built on first read: a search settled at placement never
+    asks for it."""
+    return _step_ranks(*_configs(g, k), True)
 
 
 @_per_graph
 def _succ_bits(g: Graph, k: int):
-    """``succ_bits[c]``: the ranks of ``_configs``' ``succs[c]`` as one
-    mask, bit r set for each successor rank r."""
-    return tuple(sum(1 << r for r in sc) for sc in _configs(g, k)[2])
+    """``succ_bits[c]``: the ranks of ``succs[c]`` as one mask, bit r set
+    for each successor rank r."""
+    return tuple(sum(1 << r for r in sc) for sc in _succs(g, k))
 
 
 def _joint_moves(g: Graph, k: int):
@@ -226,8 +237,7 @@ def _joint_moves(g: Graph, k: int):
     ``itertools.product`` order over the searchers' closed neighbourhoods
     (the last searcher fastest).  Only the per-searcher random chain reads
     it, so it is built per call, not kept."""
-    cfgs, closed, _ = _configs(g, k)
-    return _step_ranks(cfgs, closed, False)
+    return _step_ranks(*_configs(g, k), False)
 
 
 @_per_graph
@@ -319,13 +329,10 @@ def solve_cleaning(
     an earlier level or this one, and a state expands ``succs[c]`` less
     those, in ascending rank as before.
     """
-    budget, (cfgs, sights, closed, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, (cfgs, sights, closed) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    lo, hi, h = _spread(g)
-    low = (1 << h) - 1
     keep = [full & ~s for s in sights]   # what config c leaves unseen
-    succ_bits = _succ_bits(g, k)
 
     visited = set()
     done = {}   # gas mask -> mask of the config ranks expanded from it
@@ -335,20 +342,6 @@ def solve_cleaning(
     best_from = None     # (parent_key or None, cfg_rank) realizing best_gas
     states = 0
     frontier = []
-
-    for ci, gas0 in enumerate(keep):
-        key = ci << n | gas0     # distinct per placement, so never seen yet
-        visited.add(key)
-        states += 1
-        if parents is not None:
-            parents[key] = None
-        pc = gas0.bit_count()
-        if pc < best_gas:
-            best_gas = pc
-            best_from = (None, ci)
-        frontier.append(key)
-        if stop_at is not None and best_gas <= stop_at:
-            break
 
     def result(reached, capped):
         wit = None
@@ -364,9 +357,24 @@ def solve_cleaning(
             states=states, capped=capped, witness=wit,
         )
 
-    if stop_at is not None and best_gas <= stop_at:
-        return result(True, False)
+    for ci, gas0 in enumerate(keep):
+        key = ci << n | gas0     # distinct per placement, so never seen yet
+        visited.add(key)
+        states += 1
+        if parents is not None:
+            parents[key] = None
+        pc = gas0.bit_count()
+        if pc < best_gas:
+            best_gas = pc
+            best_from = (None, ci)
+            if stop_at is not None and best_gas <= stop_at:
+                return result(True, False)
+        frontier.append(key)
 
+    # the placements did not settle it: only now build the step tables
+    succs, succ_bits = _succs(g, k), _succ_bits(g, k)
+    lo, hi, h = _spread(g)
+    low = (1 << h) - 1
     while frontier:
         nxt = []
         for key in frontier:
@@ -545,11 +553,12 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
     masks only once all are computed, so each round reads the last one's.
     """
     budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
-    cfgs, zones, closed, succs = tables
+    cfgs, zones, closed = tables
     n = g.n
     if 2 * len(cfgs) * n > budget:
         raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
                             partial=None)
+    succs = _succs(g, k)
     full = (1 << n) - 1
     free = [full & ~zc for zc in zones]
     hit = []   # per config, the evader vertices some pursuer step captures
@@ -617,7 +626,7 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     for it, so mid-game forced captures cannot happen).  Capture time counts
     pursuer rounds; placement capture is time 0.
     """
-    (cfgs, _, _, _), _, cover = _pursuit(g, k, rho, state_budget)
+    (cfgs, _, _), _, cover = _pursuit(g, k, rho, state_budget)
     best = min((t for t in cover if t != NONE), default=None)
     return PursuitResult(
         k=k, rho=rho, capture=best is not None, capture_time=best,
@@ -679,7 +688,8 @@ def limited_capture_solve(
     Capture_time is the worst-case number of rounds under optimal play by
     both sides (evader picks worst branch), minimized over placements.
     """
-    budget, (cfgs, sights, _, succs) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, (cfgs, sights, _) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    succs = _succs(g, k)
     n = g.n
     full = (1 << n) - 1
     occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices

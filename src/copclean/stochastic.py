@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BadParamError, TooLargeError
 from .graphs import Graph, _mask_bits
-from .solvers import _closed_union, _joint_moves, _pursuit, limited_capture_solve
+from .solvers import _closed_union, _joint_moves, _pursuit, _succs, limited_capture_solve
 
 # relative gap below which two expected times count as equal: rounding in
 # the dense solve stays near 1e-15, far below it
@@ -112,7 +112,8 @@ class _RandomPursuit:
         if move_model not in MOVE_MODELS:
             raise BadParamError(f"move model must be one of {MOVE_MODELS}")
         tables, won, _ = _pursuit(g, k, rho, state_budget, "searcher", "chain")
-        self.cfgs, self.zones, self.closed, self.succs = cfgs, zones, closed, succs = tables
+        self.cfgs, self.zones, self.closed = cfgs, zones, closed = tables
+        self.succs = succs = _succs(g, k)
         n = self.n = g.n
         self.full = (1 << n) - 1
         self.nc = len(cfgs)

@@ -45,6 +45,14 @@ def brute_canonical(g: Graph) -> int:
     return best
 
 
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation p (vertex i to p[i]) that maps the edge set
+    onto itself, in ``itertools.permutations`` order."""
+    edges = {frozenset(e) for e in g.edges()}
+    return [p for p in itertools.permutations(range(g.n))
+            if {frozenset((p[u], p[v])) for u, v in edges} == edges]
+
+
 def all_connected_masks(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

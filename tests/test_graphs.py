@@ -10,12 +10,13 @@ import oracles
 from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
 from copclean import graphs
 from copclean.construction import ConstructionSpec, build_construction
-from copclean.families import complete, spider
+from copclean.families import complete, cycle, spider
 from copclean.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
     Graph,
     _all_graph_keys,
+    _automorphisms,
     canonical_key,
     closed_l_neighborhood,
     count_connected_classes,
@@ -23,6 +24,7 @@ from copclean.graphs import (
     emit_graph6,
     enumerate_connected,
     girth,
+    graph_from_key,
     metrics,
     parse_edge_list,
     parse_graph6,
@@ -340,6 +342,39 @@ def test_level_keys_pinned():
         assert hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest() == digest
     for t in range(1, 9):
         assert len(_all_graph_keys(t)) == count_graph_classes(t)
+
+
+def test_automorphisms_match_brute_force():
+    # every class of the small levels, connected or not, and three
+    # vertex-transitive graphs on 8 vertices with 16, 48 and 1,152
+    # automorphisms
+    cube = Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                                if u < u ^ 1 << b])
+    k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    cases = [graph_from_key(key, t) for t in range(1, 7) for key in _all_graph_keys(t)]
+    cases += [cycle(8), cube, k44]
+    for g in cases:
+        assert _automorphisms(g.bit_rows, g.n) == oracles.brute_automorphisms(g), g.edges()
+    assert [len(_automorphisms(g.bit_rows, 8)) for g in cases[-3:]] == [16, 48, 1152]
+
+
+def test_orbit_pruning_pinned(monkeypatch):
+    # one canonical_key call per Aut(parent) orbit of children that pass
+    # the invariant tests, counted over a cold build of the levels t <= 7
+    # (calls per level without the orbits: 2, 5, 16, 64, 296, 2,119)
+    real = graphs.canonical_key
+    calls = []
+    monkeypatch.setattr(graphs, "canonical_key", lambda rows, n: calls.append(n) or real(rows, n))
+    saved = dict(graphs._levels_cache)
+    graphs._levels_cache.clear()
+    try:
+        levels = {t: _all_graph_keys(t) for t in range(1, 8)}
+    finally:
+        graphs._levels_cache.clear()
+        graphs._levels_cache.update(saved)
+    assert [calls.count(t) for t in range(2, 8)] == [2, 4, 11, 34, 159, 1108]
+    assert [len(levels[t]) for t in range(1, 8)] == [count_graph_classes(t) for t in range(1, 8)]
+    assert all(saved[t] == keys for t, keys in levels.items() if t in saved)
 
 
 def test_level_keys_match_every_labelled_graph():

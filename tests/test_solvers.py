@@ -16,6 +16,7 @@ from copclean.solvers import (
     _joint_moves,
     _spread,
     _succ_bits,
+    _succs,
     belief_capture_time,
     capture_number_limited,
     capture_possible_limited,
@@ -76,9 +77,9 @@ def test_config_tables_match_brute_force(small_connected):
                  for v in range(g.n)]
         dist = [g.bfs_dist(v) for v in range(g.n)]
         for k in (1, 2, 3):
-            moves = _joint_moves(g, k)
+            moves, succs = _joint_moves(g, k), _succs(g, k)
             for l in (0, 1, 2):
-                cfgs, sights, closed, succs = _config_tables(g, k, l)
+                cfgs, sights, closed = _config_tables(g, k, l)
                 assert cfgs == tuple(itertools.combinations_with_replacement(range(g.n), k))
                 rank = {c: i for i, c in enumerate(cfgs)}
                 assert closed == tuple(sum(1 << u for u in b) for b in balls)
@@ -93,10 +94,33 @@ def test_config_tables_match_brute_force(small_connected):
 
 def test_tables_are_read_only():
     tables = _config_tables(cycle(5), 2, 1)
-    cfgs, sights, closed, succs = tables
+    cfgs, sights, closed = tables
+    succs = _succs(cycle(5), 2)
     for table in (tables, cfgs, sights, closed, succs, succs[0], _joint_moves(cycle(5), 2)[0],
                   _succ_bits(cycle(5), 2)):
         assert isinstance(table, tuple)
+
+
+def test_step_tables_built_on_first_expansion(monkeypatch):
+    # two sight-1 searchers on opposite vertices of C6 see all of it, so
+    # cleanable settles at placement and builds no step table; max_clean
+    # then expands, and builds each table once
+    g = cycle(6)
+    succs, succ_bits = solvers._succs.__wrapped__, solvers._succ_bits.__wrapped__
+    assert cleanable(g, 2, 1)[0]
+    assert solvers._slot[0] is g
+    assert not {succs, succ_bits} & {key[0] for key in solvers._slot[1]}
+
+    builds = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(solvers, "_slot", (g, Recording(solvers._slot[1])))
+    assert max_clean(g, 2, 1).max_clean == 6
+    assert [key for key in builds if key[0] in (succs, succ_bits)] == [(succs, 2), (succ_bits, 2)]
 
 
 def test_table_reuse_matches_cold_calls():

@@ -10,7 +10,7 @@ from copclean import cli, stochastic
 from copclean.errors import BadParamError, TooLargeError
 from copclean.families import complete, cycle, path, star
 from copclean.graphs import Graph, enumerate_connected
-from copclean.solvers import _config_tables, _joint_moves, cop_number
+from copclean.solvers import _joint_moves, _succs, cop_number
 from copclean.stochastic import _RandomPursuit, expected_time, monte_carlo
 
 # the four random-movement conventions on the 5-cycle with two searchers,
@@ -315,7 +315,7 @@ def test_move_table_is_the_move_distribution():
     for g, k, rho in ((cycle(5), 2, 0), (path(6), 1, 1), (complete(4), 3, 0)):
         chain = _RandomPursuit(g, k, rho, "per_cop")
         rank = {cfg: i for i, cfg in enumerate(chain.cfgs)}
-        succs, moves = _config_tables(g, k, rho)[-1], _joint_moves(g, k)
+        succs, moves = _succs(g, k), _joint_moves(g, k)
         opts = [sorted([v] + [u for u in range(g.n) if g.bit_rows[v] >> u & 1])
                 for v in range(g.n)]
         for c, cfg in enumerate(chain.cfgs):
