@@ -20,7 +20,7 @@ actual adjacency, exhaustively via translation classes or by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,7 +108,6 @@ class ConstructionGraph:
     k: int
     m: int
     partition: tuple[tuple[int, ...], ...]
-    cls_of: dict = field(repr=False)
 
     @property
     def blocks(self) -> int:
@@ -172,11 +171,7 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
         vs_rows[r] = base + a
         r += 1
     g = Graph.from_edge_arrays(n, us, vs, name=f"construction:k={spec.k}:m={m}")
-    cls_of = {}
-    for ci, cls in enumerate(partition):
-        for q in cls:
-            cls_of[q] = ci
-    return ConstructionGraph(graph=g, k=spec.k, m=m, partition=partition, cls_of=cls_of)
+    return ConstructionGraph(graph=g, k=spec.k, m=m, partition=partition)
 
 
 # -- checks -------------------------------------------------------------------
@@ -303,12 +298,15 @@ def _sample_pairs(outside: int, samples: int, seed: int) -> tuple[np.ndarray, np
     return evaders, (evaders + 1 + offsets) % outside
 
 
+# violating pairs a check re-judges and reports
+_MAX_VIOLATIONS = 5
+
+
 def check_blocking(
     cg: ConstructionGraph,
     mode: str = "exhaustive",
     samples: int = 1_000_000,
     seed: int = 0,
-    max_violations: int = 5,
 ) -> BlockingReport:
     """Verify the one-type-per-searcher interference property over ordered
     pairs of distinct outside vertices.
@@ -316,7 +314,7 @@ def check_blocking(
     Both modes list (evader, searcher) pairs and hand them to one numpy
     kernel, ``_blocked_counts``, which reads each searcher's closed row of
     the built graph once per pair and turns every entry into at most one
-    blocked type bit.  The first ``max_violations`` pairs that block more
+    blocked type bit.  The first ``_MAX_VIOLATIONS`` pairs that block more
     than one type are re-judged by ``_blocked_types``, the per-pair
     reference, in the order the pairs were listed.
 
@@ -350,7 +348,7 @@ def check_blocking(
     max_blocked = int(counts.max())
     violations = []
     mask = (1 << cg.m) - 1
-    for p in np.flatnonzero(counts > 1)[:max_violations].tolist():
+    for p in np.flatnonzero(counts > 1)[:_MAX_VIOLATIONS].tolist():
         ev, se = int(evaders[p]), int(searchers[p])
         violations.append({
             "evader": [cg.block_of(ev), cg.residue_of(ev)],

@@ -4,7 +4,8 @@ Vertices are dense integers 0..n-1.  Every graph keeps one storage: the CSR
 pair ``(indptr, nbrs)``, with each vertex's neighbours sorted ascending.
 Graphs on at most 64 vertices also expose ``bit_rows``, one adjacency
 bitmask per vertex, built from the CSR pair on first read; the game solvers
-work on those.
+work on those, and ``_ball`` is their one closed radius-l ball of a vertex
+mask.
 
 Graphs of every size share one CSR kernel over boolean vertex masks:
 ``Graph.adjacent_to`` flags the neighbours of a mask in one numpy scatter,
@@ -264,21 +265,6 @@ class Graph:
             reach |= frontier
         return reach
 
-    def closed_l_mask(self, v: int, l: int) -> int:
-        """Bitmask of the closed distance-l ball around v (n <= 64 only)."""
-        rows = self.bit_rows
-        reach = 1 << v
-        frontier = reach
-        for _ in range(l):
-            nxt = 0
-            for u in _mask_bits(frontier):
-                nxt |= rows[u]
-            frontier = nxt & ~reach
-            if not frontier:
-                break
-            reach |= frontier
-        return reach
-
 
 def _mask_bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending.  They come off the top, so each
@@ -291,6 +277,25 @@ def _mask_bits(mask: int) -> list[int]:
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+def _ball(rows: tuple[int, ...], mask: int, l: int) -> int:
+    """The closed radius-l ball around the vertices of ``mask`` in a graph
+    given by its ``bit_rows``, as a mask.  Each of at most l rounds adds the
+    neighbours of the vertices the last round added, and it stops once a
+    round adds none, so a radius past the diameter costs nothing more."""
+    reach = new = mask
+    for _ in range(l):
+        grown = 0
+        while new:
+            low = new & -new
+            grown |= rows[low.bit_length() - 1]
+            new ^= low
+        new = grown & ~reach
+        if not new:
+            break
+        reach |= new
+    return reach
 
 
 def closed_l_neighborhood(g: Graph, v: int, l: int) -> frozenset[int]:

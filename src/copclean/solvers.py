@@ -33,23 +33,30 @@ Three engines share this module:
   with a node per move, and so do its own value and round count.  The
   branches are interned when the key is first met, and a repeat key would
   only meet states already interned, so states are numbered and counted as
-  with a node per move.
+  with a node per move.  Each placement is one more AND node, over the
+  states the evader can start from, so the same solve also gives the best
+  placement's value.
 
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
 connectivity, in that order, then resolves the state budget and reads one
 shared bitmask layer: ``_config_tables`` enumerates the searcher
-configurations with their sight masks and closed neighbourhoods.  The
-tables a search reads only once it expands a state are built on first
-read: ``_succs``, the successor ranks of each configuration, with
-``_succ_bits``, the same ranks as one mask, and ``_spread``, the tables of
-the neighbour union of a vertex mask (the gas spread of the cleaning game,
-the evader's step in limited-sight capture), which both engines look up
-inline.  ``solve_cleaning`` asks for them only once its placements have
-not settled the question, so a sweep's ``cleanable`` that some placement
-already answers builds none of them.  ``_joint_moves``, the successor of
-every joint step in product order, is built only for the per-searcher
-random chain, the one reader that weighs steps.
+configurations with their sight masks and closed neighbourhoods.  Every
+ball on bit rows, a sight mask or the one-step closure of an evader mask,
+comes from ``graphs._ball``.  The tables a search reads only once it
+expands a state are built on first read: ``_succs``, the successor ranks
+of each configuration, with ``_succ_bits``, the same ranks as one mask,
+and ``_spread``, the tables of the neighbour union of a vertex mask (the
+gas spread of the cleaning game, the evader's step in limited-sight
+capture), which both engines look up inline.  ``_spread`` serves only
+these two engines, whose inner loops it speeds up: its tables hold
+``2^ceil(n/2)`` entries, affordable at their cap of 26 vertices but not at
+pursuit's 64.  Both searches ask for the step tables only once their
+placements are in and within budget, so a sweep's ``cleanable`` that some
+placement already answers, or a search whose placements alone exceed the
+budget, builds none of them.  ``_joint_moves``, the successor of every
+joint step in product order, is built only for the per-searcher random
+chain, the one reader that weighs steps.
 
 The layer keeps the tables of one graph: a slot holds the last ``Graph``
 passed in (by identity, with a strong reference) and what was built for it.
@@ -83,7 +90,7 @@ from typing import Optional
 
 from .cleaning import StrategyScript
 from .errors import BadParamError, TooLargeError
-from .graphs import Graph, _mask_bits
+from .graphs import Graph, _ball, _mask_bits
 
 _CLEAN_MAX_N = 26
 _PURSUIT_MAX_N = 64
@@ -207,7 +214,8 @@ def _config_tables(g: Graph, k: int, l: int):
     """``(cfgs, sights, closed)``: ``_configs`` with ``sights[c]``, the
     mask the searchers of config c see with sight l."""
     cfgs, closed = _configs(g, k)
-    sight1 = [g.closed_l_mask(v, l) for v in range(g.n)]
+    rows = g.bit_rows
+    sight1 = [_ball(rows, 1 << v, l) for v in range(g.n)]
     sights = []
     for cfg in cfgs:
         s = 0
@@ -343,6 +351,10 @@ def solve_cleaning(
     states = 0
     frontier = []
 
+    def exhausted():
+        return TooLargeError(f"state budget {budget} exhausted (visited {states})",
+                             partial=result(False, True))
+
     def result(reached, capped):
         wit = None
         if witness and best_from is not None:
@@ -371,7 +383,10 @@ def solve_cleaning(
                 return result(True, False)
         frontier.append(key)
 
-    # the placements did not settle it: only now build the step tables
+    # the placements did not settle it: only now, within budget, build the
+    # step tables
+    if states > budget:
+        raise exhausted()
     succs, succ_bits = _succs(g, k), _succ_bits(g, k)
     lo, hi, h = _spread(g)
     low = (1 << h) - 1
@@ -406,10 +421,7 @@ def solve_cleaning(
                     parents[key2] = key
                 nxt.append(key2)
             if states > budget:
-                raise TooLargeError(
-                    f"state budget {budget} exhausted (visited {states})",
-                    partial=result(False, True),
-                )
+                raise exhausted()
         frontier = nxt
 
     return result(best_gas <= stop_at if stop_at is not None else None, False)
@@ -516,17 +528,6 @@ def _retrograde(need, is_or, seeds, preds):
     return val
 
 
-def _closed_union(closed, mask: int) -> int:
-    """The union of ``closed[v]`` over the vertices v of ``mask``: by
-    symmetry of closed neighbourhoods, the vertices one step from ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= closed[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
              who: str = "pursuer", space: str = "pursuit"):
     """The pursuit game, solved over evader-position masks: returns the
@@ -539,34 +540,32 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
     force capture within t rounds, and ``moved[c]``, those lost within t
     rounds with the evader to move after the pursuers reached c, that is
     every step in ``closed[r] & free[c]`` lies in ``won[c]``.  Round 1
-    wins ``hit[c] & free[c]``, the vertices some pursuer step captures;
-    round t+1 wins ``(hit[c] | moved[c0] for every c0 in succs[c]) &
-    free[c]`` with the masks of round t.  Staying put is always safe for
-    the evader, so captures happen only on pursuer steps.  A vertex's
-    first round in ``won[c]`` is the round count of backward induction
-    over the (config, vertex) states, and ``cover[c]`` is the first round
-    at which ``won[c]`` equals ``free[c]`` (0 for a full zone, NONE if
-    never): the worst case over the evader's placements against c.
+    wins ``hit[c] & free[c]``, the vertices some pursuer step captures:
+    ``hit`` is the radius-(rho+1) sight table, as a step within N[v] and
+    then radius rho reach exactly the radius-(rho+1) ball of v.  Round
+    t+1 wins ``(hit[c] | moved[c0] for every c0 in succs[c]) & free[c]``
+    with the masks of round t.  Staying put is always safe for the evader,
+    so captures happen only on pursuer steps.  A vertex's first round in
+    ``won[c]`` is the round count of backward induction over the (config,
+    vertex) states, and ``cover[c]`` is the first round at which
+    ``won[c]`` equals ``free[c]`` (0 for a full zone, NONE if never): the
+    worst case over the evader's placements against c.
 
     A round recomputes only the configs a changed ``moved[c0]`` feeds,
     ``succs[c0]`` (the step relation is symmetric), and applies the new
     masks only once all are computed, so each round reads the last one's.
     """
     budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
-    cfgs, zones, closed = tables
+    cfgs, zones, _ = tables
     n = g.n
     if 2 * len(cfgs) * n > budget:
         raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
                             partial=None)
     succs = _succs(g, k)
+    rows = g.bit_rows
     full = (1 << n) - 1
     free = [full & ~zc for zc in zones]
-    hit = []   # per config, the evader vertices some pursuer step captures
-    for sc in succs:
-        h = 0
-        for c0 in sc:
-            h |= zones[c0]
-        hit.append(h)
+    hit = _config_tables(g, k, rho + 1)[1]
     won = [h & f for h, f in zip(hit, free)]
     cover = [NONE] * len(cfgs)
     moved = [0] * len(cfgs)
@@ -579,7 +578,7 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
             won[c] = w
             if w == f:
                 cover[c] = t if f else 0
-            m = f & ~_closed_union(closed, f & ~w)
+            m = f & ~_ball(rows, f & ~w, 1)
             if m != moved[c]:
                 moved[c] = m
                 changed.append(c)
@@ -598,23 +597,6 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
             if w != won[c]:
                 fresh.append((c, w))
     return tables, won, cover
-
-
-def _best_placement(cfgs, starts, val):
-    """The placement needing the fewest rounds in the worst case, the
-    first one on ties.  ``starts[i]`` lists the nodes the evader can start
-    from against ``cfgs[i]``; a placement with an unwon start is skipped,
-    and one with no start is won at once.  Returns ``(rounds, config)``,
-    or ``(None, None)`` when no placement wins."""
-    best = best_cfg = None
-    for cfg, nodes in zip(cfgs, starts):
-        times = [val[v] for v in nodes]
-        if NONE in times:
-            continue
-        t = max(times, default=0)
-        if best is None or t < best:
-            best, best_cfg = t, cfg
-    return best, best_cfg
 
 
 def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None) -> PursuitResult:
@@ -689,13 +671,10 @@ def limited_capture_solve(
     both sides (evader picks worst branch), minimized over placements.
     """
     budget, (cfgs, sights, _) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
-    succs = _succs(g, k)
     n = g.n
     full = (1 << n) - 1
     occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices
     free = [full & ~o for o in occ]
-    lo, hi, h = _spread(g)
-    low = (1 << h) - 1
 
     def split(mask, sight):
         parts = []
@@ -710,8 +689,8 @@ def limited_capture_solve(
         return parts
 
     # forward exploration into the AND-OR graph: an OR node per state, an
-    # AND node per distinct move key over its branches; a move with no
-    # branches wins
+    # AND node per placement and per distinct move key over its branches;
+    # an AND node with no branches wins at once
     state_id: dict[int, int] = {}   # state key -> node id
     move_id: dict[int, int] = {}    # move key c2 << n | S & free[c2] -> node id
     need: list[int] = []
@@ -736,10 +715,26 @@ def limited_capture_solve(
             stack.append((sid, key))
         return sid
 
-    init_pieces = [
-        [intern(ci, p) for p in split(full & ~occ[ci], sights[ci])]
-        for ci in range(len(cfgs))
-    ]
+    def and_node(branches, up):
+        # a new AND node over the state ids ``branches``; ``up`` lists the
+        # states that make its move, none for a placement
+        node = len(need)
+        need.append(len(branches))
+        is_or.append(0)
+        preds.append(up)
+        for b in branches:
+            preds[b].append(node)
+        if not branches:
+            seeds.append((node, 0))
+        return node
+
+    # the placements are interned before any step table is built, so an
+    # over-budget start builds none
+    places = [and_node([intern(ci, p) for p in split(full & ~occ[ci], sights[ci])], [])
+              for ci in range(len(cfgs))]
+    succs = _succs(g, k)
+    lo, hi, h = _spread(g)
+    low = (1 << h) - 1
 
     while stack:
         sid, key = stack.pop()
@@ -760,20 +755,15 @@ def limited_capture_solve(
                     grown = (piece | lo[piece & low] | hi[piece >> h]) & f2
                     for part in split(grown, s2):
                         branch_ids.add(intern(c2, part))
-            mv = move_id[mkey] = len(need)
-            need.append(len(branch_ids))
-            is_or.append(0)
-            preds.append([sid])
-            for b in branch_ids:
-                preds[b].append(mv)
-            if not branch_ids:
-                seeds.append((mv, 0))
+            move_id[mkey] = and_node(branch_ids, [sid])
 
     val = _retrograde(need, is_or, seeds, preds)
-    best_time, best_cfg = _best_placement(cfgs, init_pieces, val)
+    times = [val[p] for p in places]
+    best = min((t for t in times if t != NONE), default=None)
     return LimitedCaptureResult(
-        k=k, l=l, capture=best_time is not None, capture_time=best_time,
-        placement=best_cfg, states=len(state_id),
+        k=k, l=l, capture=best is not None, capture_time=best,
+        placement=None if best is None else cfgs[times.index(best)],
+        states=len(state_id),
     )
 
 

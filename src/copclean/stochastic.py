@@ -12,12 +12,13 @@ state from which it can evade forever, so the expected time is infinite.
 It takes two mask fixpoints, one vertex mask of evader positions per
 searcher configuration: the adversarial attractor, which is the pursuit
 game ``solvers._pursuit`` solves, then the states that can reach one
-outside it.
-Inside the region, Howard policy iteration over the evader's replies gives
-the values.  There every evader policy yields a proper chain, so each
-evaluation ``(I - P) v = 1`` is nonsingular and the method ends after
-finitely many steps (R. A. Howard, *Dynamic Programming and Markov
-Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16, 1991).  Wherever a choice is made, values within ``_TIE_REL`` count as equal.
+outside it.  Inside the region, Howard policy iteration over the evader's
+replies gives the values.  There every evader policy yields a proper
+chain, so each evaluation ``(I - P) v = 1`` is nonsingular and the method
+ends after finitely many steps (R. A. Howard, *Dynamic Programming and
+Markov Processes*, 1960; Bertsekas & Tsitsiklis, Math. Oper. Res. 16,
+1991).  Wherever a choice is made, values within ``_TIE_REL`` count as
+equal.
 
 Two move models are supported: each searcher independently uniform over its
 closed neighborhood ("per_cop"), or one uniform draw over the distinct
@@ -39,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParamError, TooLargeError
-from .graphs import Graph, _mask_bits
-from .solvers import _closed_union, _joint_moves, _pursuit, _succs, limited_capture_solve
+from .graphs import Graph, _ball, _mask_bits
+from .solvers import _joint_moves, _pursuit, _succs, limited_capture_solve
 
 # relative gap below which two expected times count as equal: rounding in
 # the dense solve stays near 1e-15, far below it
@@ -151,14 +152,15 @@ class _RandomPursuit:
         # an unwon state with positive probability from wherever it can
         # reach one at all.  ``esc[c]`` grows to the searcher-to-move
         # positions that can: the evader to move at c0 can from
-        # ``free[c0] & _closed_union(closed, esc[c0])``, and the searchers
-        # at c step to every c0 in succs[c] (symmetric, so a change at c0
-        # feeds succs[c0])
+        # ``free[c0] & _ball(rows, esc[c0], 1)``, and the searchers at c
+        # step to every c0 in succs[c] (symmetric, so a change at c0 feeds
+        # succs[c0])
+        rows = g.bit_rows
         esc = list(self.evade_c)
         stack = [c for c, e in enumerate(esc) if e]
         while stack:
             c0 = stack.pop()
-            e = free[c0] & _closed_union(closed, esc[c0])
+            e = free[c0] & _ball(rows, esc[c0], 1)
             for c in succs[c0]:
                 x = esc[c] | e & free[c]
                 if x != esc[c]:

@@ -131,6 +131,25 @@ def test_mask_kernel():
     assert one.adjacent_to(np.ones(1, dtype=bool)).tolist() == [False]
 
 
+def test_bit_row_ball_matches_bfs():
+    # the bit-row ball against breadth-first distances at the sizes only
+    # pursuit and the random chain take, 27 to 64 vertices, around one to
+    # three centres; a radius past the diameter gives the whole graph
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(27, 64)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}   # a random tree
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 4)}
+        g = Graph.from_edges(n, edges)
+        dist = [g.bfs_dist(v) for v in range(n)]
+        for _ in range(5):
+            centres = rng.sample(range(n), rng.randint(1, 3))
+            mask = sum(1 << v for v in centres)
+            for l in (0, 1, 2, 3, 10**9):
+                want = sum(1 << u for u in range(n) if min(dist[v][u] for v in centres) <= l)
+                assert graphs._ball(g.bit_rows, mask, l) == want, (sorted(edges), centres, l)
+
+
 def test_metrics_sentinels():
     tri = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     m = metrics(tri)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,23 @@ def test_step_tables_built_on_first_expansion(monkeypatch):
     assert [key for key in builds if key[0] in (succs, succ_bits)] == [(succs, 2), (succ_bits, 2)]
 
 
+def test_budget_binds_before_step_tables():
+    # the 21 placements of two searchers on C6 alone pass a budget of 10,
+    # so both searches refuse before they build a step or spread table
+    g = cycle(6)
+    late = {solvers._succs.__wrapped__, solvers._succ_bits.__wrapped__,
+            solvers._spread.__wrapped__}
+    for call, msg in (
+        (lambda: max_clean(g, 2, 0, state_budget=10), "state budget 10 exhausted (visited 21)"),
+        (lambda: limited_capture_solve(g, 2, 0, state_budget=10),
+         "candidate-set space exceeds budget 10"),
+    ):
+        with pytest.raises(TooLargeError, match=re.escape(msg)):
+            call()
+        assert solvers._slot[0] is g
+        assert not late & {key[0] for key in solvers._slot[1]}
+
+
 def test_table_reuse_matches_cold_calls():
     # one graph's tables are kept between calls; interleaving two graphs
     # must answer as fresh copies of them do, whose tables start cold
@@ -200,7 +218,9 @@ def test_cleaning_outputs_pinned():
     # every field of every search, witnesses, stop_at searches and a
     # budget-capped partial included, on every class with n <= 6 and five
     # named graphs; the digest is that of a search evaluating every
-    # (gas, move) pair, so skipping repeated pairs must change no byte
+    # (gas, move) pair, so skipping repeated pairs must change no byte.  The
+    # budget is checked once the placements are in, so a partial whose
+    # placements alone pass the budget stops there
     graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
     graphs += map(from_spec, ("cycle:12", "heawood", "petersen", "grid:3:4", "tree:16:3"))
     digest = hashlib.sha256()
@@ -215,7 +235,7 @@ def test_cleaning_outputs_pinned():
                 except TooLargeError as e:
                     res = e.partial
                 digest.update(repr(res).encode() + b"\n")
-    assert digest.hexdigest() == "9e408af0263514cfe135301001e8e30dcc9f1d4e5ac1ec6d1eab8326b013d353"
+    assert digest.hexdigest() == "16213a68f18974490260008d2e9583c43176d2e6e48227702e1c8f7b5392a184"
 
 
 def test_stop_at_short_circuits():
@@ -269,7 +289,7 @@ def test_oversize_and_disconnected_rejected():
 # every engine: (call, player, radius kind, vertex cap, message at budget 10)
 _ENGINES = {
     "solve_cleaning": (lambda g, k, r, b: solve_cleaning(g, k, r, state_budget=b),
-                       "searcher", "sight", 26, "state budget 10 exhausted (visited 16)"),
+                       "searcher", "sight", 26, "state budget 10 exhausted (visited 15)"),
     "pursuit_solve": (lambda g, k, r, b: pursuit_solve(g, k, r, state_budget=b),
                       "pursuer", "capture", 64, "pursuit space 2*15*5 exceeds budget 10"),
     "limited_capture_solve": (lambda g, k, r, b: limited_capture_solve(g, k, r, state_budget=b),
@@ -367,6 +387,9 @@ PURSUIT_PINS = {
     ("grid:3:3", 2, 0): (2, (0, 5), 810),
     ("cycle:7", 2, 0): (2, (0, 2), 392),
     ("cycle:9", 1, 1): (None, None, 162),
+    ("cycle:40", 2, 0): (10, (0, 19), 65_600),
+    ("grid:5:5", 3, 0): (3, (0, 7, 22), 146_250),
+    ("grid:5:5", 2, 2): (1, (2, 17), 16_250),
 }
 
 
