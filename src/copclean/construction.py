@@ -9,6 +9,12 @@ m bit positions are split into 2k disjoint classes, one per block.  Edges:
   (movement between blocks by the source block's step sizes),
 * hub i ~ every vertex of block i, and the hubs form a clique.
 
+``build_construction`` writes the CSR rows straight, with no edge list and
+no sort.  The row of (i, a) lists, per other block j in order, the sorted
+residues (a + 2^q) mod 2^m for q in class(i) and (a - 2^q) mod 2^m for q in
+class(j), then hub i; no residue repeats, so every row of block i has the
+same width.  Hub i's row is block i, then the other hubs.
+
 Hubs dominate everything, so k searchers sitting on half the hubs and then
 hopping to the other half wipe the whole graph in one move.  Evasion rests
 on a per-pair property: a searcher standing at offset delta from an evader
@@ -51,8 +57,8 @@ class ConstructionSpec:
                 f"k={self.k}, m={m} gives {parts} * (2^{m} + 1) vertices, "
                 f"above the cap of {MAX_VERTICES}"
             )
-        # the endpoint pairs build_construction lists: a row of 2^m per
-        # (block, step, other block) and per hub's spokes, then the clique
+        # the built graph's edges: 2^m per (block, step, other block) and
+        # per hub's spokes, then the clique; no two of them coincide
         edges = ((m * (parts - 1) + parts) << m) + parts * (parts - 1) // 2
         if edges > MAX_EDGES:
             raise UnsupportedSizeError(
@@ -140,37 +146,49 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
             "pass allow_bad_spacing=True to build it anyway"
         )
     size = 1 << m
-    mask = size - 1
-    n = nblocks * size + nblocks
     hub0 = nblocks * size
+    n = hub0 + nblocks
+    # every row of block i has the same width: per other block j, the
+    # |class(i)| forward landings and |class(j)| backward ones, then hub i;
+    # a hub's row is its block and the other hubs
+    widths = [1 + sum(len(partition[i]) + len(partition[j]) for j in range(nblocks) if j != i)
+              for i in range(nblocks)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:hub0 + 1].reshape(nblocks, size)[:] = np.array(widths)[:, None]
+    indptr[hub0 + 1:] = size + nblocks - 1
+    np.cumsum(indptr, out=indptr)
+    nbrs = np.empty(int(indptr[-1]), dtype=np.int32)
 
-    # one row of `size` edges per (block i, step q, block j != i) and one per
-    # hub's spokes, then the hub clique; int32 holds every id below the
-    # vertex cap, and the rows are filled in place, so no second copy of the
-    # endpoints (27 MB at m=16) lives through the build
-    hubs = np.array([(hub0 + i, hub0 + j) for i in range(nblocks) for j in range(i + 1, nblocks)],
-                    dtype=np.int32)
-    rows = m * (nblocks - 1) + nblocks
-    us = np.empty(rows * size + len(hubs), dtype=np.int32)
-    vs = np.empty_like(us)
-    us_rows, vs_rows = us[:rows * size].reshape(rows, size), vs[:rows * size].reshape(rows, size)
-    us[rows * size:], vs[rows * size:] = hubs.T
     a = np.arange(size, dtype=np.int32)
-    r = 0
     for i in range(nblocks):
-        base = i * size
-        for q in partition[i]:
-            b = (a + (1 << q)) & mask
-            for j in range(nblocks):
-                if j == i:
-                    continue
-                us_rows[r] = base + a
-                vs_rows[r] = j * size + b
-                r += 1
-        us_rows[r] = hub0 + i
-        vs_rows[r] = base + a
-        r += 1
-    g = Graph.from_edge_arrays(n, us, vs, name=f"construction:k={spec.k}:m={m}")
+        lo = int(indptr[i << m])
+        slab = nbrs[lo:lo + widths[i] * size].reshape(size, widths[i])
+        col = 0
+        for j in range(nblocks):
+            if j == i:
+                continue
+            # (i, a) ~ (j, a + d mod 2^m) for d = 2^q, q in class(i), and
+            # d = -2^q, q in class(j).  No d repeats: the classes are
+            # disjoint, and 2^q + 2^q' = 0 mod 2^m only for q = q' = m - 1
+            deltas = sorted([1 << q for q in partition[i]] + [size - (1 << q) for q in partition[j]])
+            group = slab[:, col:col + len(deltas)]
+            col += len(deltas)
+            # the rows a in [2^m - d_s, 2^m - d_{s-1}) keep a + d_0..d_{s-1}
+            # below 2^m, so each such row, sorted, is a + d_s..d_{t-1} - 2^m
+            # and then a + d_0..d_{s-1}: a rotation, needing no sort
+            cuts = [size] + [size - d for d in deltas] + [0]
+            for s in range(len(deltas) + 1):
+                offs = [d - size for d in deltas[s:]] + deltas[:s]
+                rows = slice(cuts[s + 1], cuts[s])
+                np.add(a[rows, None], np.array(offs, dtype=np.int32) + (j << m), out=group[rows])
+        slab[:, col] = hub0 + i
+    hubs = nbrs[int(indptr[hub0]):].reshape(nblocks, size + nblocks - 1)
+    for i in range(nblocks):
+        np.add(a, i << m, out=hubs[i, :size])
+        hubs[i, size:] = [hub0 + j for j in range(nblocks) if j != i]
+    indptr.setflags(write=False)
+    nbrs.setflags(write=False)
+    g = Graph(n, indptr, nbrs, name=f"construction:k={spec.k}:m={m}")
     return ConstructionGraph(graph=g, k=spec.k, m=m, partition=partition)
 
 

@@ -67,9 +67,12 @@ DISCONNECTED = None   # diameter sentinel
 class Graph:
     """Immutable simple undirected graph.
 
-    Vertex v's neighbours are ``nbrs[indptr[v]:indptr[v + 1]]``, sorted and
-    free of repeats, so two graphs are equal iff their CSR pairs are.  Build
-    one with ``from_edges`` or ``from_edge_arrays``.
+    Vertex v's neighbours are ``nbrs[indptr[v]:indptr[v + 1]]``, so two
+    graphs are equal iff their CSR pairs are.  ``from_edges`` and
+    ``from_edge_arrays`` build one from an edge list.  A caller that writes
+    the pair itself must meet the same contract: every row sorted, free of
+    repeats and of v itself, and u in row v iff v in row u; ``indptr`` int64
+    and ``nbrs`` int32, both read-only.
     """
 
     __slots__ = ("n", "name", "_indptr", "_nbrs", "_bit_rows")

@@ -12,6 +12,8 @@ import itertools
 import math
 from collections import deque
 
+import numpy as np
+
 from copclean.graphs import Graph
 
 
@@ -99,6 +101,37 @@ def brute_girth(g: Graph):
     for s in range(n):
         walk(s, s, {s}, 1)
     return best
+
+
+# -- the block construction -----------------------------------------------------
+
+
+def construction_from_edges(spec) -> Graph:
+    """The block graph of a ``ConstructionSpec``, listed edge by edge and
+    handed to ``Graph.from_edge_arrays``, which sorts and deduplicates: one
+    row of 2^m edges per (block i, step q in class(i), block j != i) and
+    per hub's spokes, then the hub clique.  No spacing rule is applied."""
+    k = spec.k
+    m = 4 * k * k if spec.m is None else spec.m
+    nblocks = 2 * k
+    partition = spec.partition or tuple(tuple(range(c, m, nblocks)) for c in range(nblocks))
+    size = 1 << m
+    hub0 = nblocks * size
+    a = np.arange(size, dtype=np.int64)
+    us, vs = [], []
+    for i in range(nblocks):
+        for q in partition[i]:
+            for j in range(nblocks):
+                if j != i:
+                    us.append(i * size + a)
+                    vs.append(j * size + ((a + (1 << q)) & (size - 1)))
+        us.append(np.full(size, hub0 + i))
+        vs.append(i * size + a)
+        for j in range(i + 1, nblocks):
+            us.append(np.array([hub0 + i]))
+            vs.append(np.array([hub0 + j]))
+    return Graph.from_edge_arrays(hub0 + nblocks, np.concatenate(us), np.concatenate(vs),
+                                  name=f"construction:k={k}:m={m}")
 
 
 # -- cleaning dynamics -----------------------------------------------------------
