@@ -27,8 +27,7 @@ from .errors import BadParamError, CopcleanError, TooLargeError, UnsupportedSize
 from .graphs import (
     ENUM_MAX_N,
     Graph,
-    emit_graph6,
-    enumerate_connected,
+    _connected_graph6,
     metrics,
     parse_edge_list,
     parse_graph6,
@@ -112,8 +111,8 @@ def _check_enum_range(n_min: int, n_max: int, big: bool) -> None:
 
 def cmd_gen(args) -> int:
     _check_enum_range(args.n, args.n, args.big)
-    for g in enumerate_connected(args.n):
-        print(emit_graph6(g))
+    for g6 in _connected_graph6(args.n):
+        print(g6)
     return 0
 
 
@@ -364,10 +363,12 @@ def _sweep_one(task):
 
 def _sweep_records(check, params, n_min, n_max, jobs, timing=False):
     """Records of ``check`` on every connected class with n_min..n_max
-    vertices, in enumeration order.  With jobs > 1 one worker pool serves
-    the whole range; output order does not depend on ``jobs``."""
-    tasks = ((emit_graph6(g), check, params, timing)
-             for n in range(n_min, n_max + 1) for g in enumerate_connected(n))
+    vertices, in enumeration order.  Each task carries the class's graph6
+    record, streamed from the level's canonical keys, and only the worker
+    that runs the check builds its Graph.  With jobs > 1 one worker pool
+    serves the whole range; output order does not depend on ``jobs``."""
+    tasks = ((g6, check, params, timing)
+             for n in range(n_min, n_max + 1) for g6 in _connected_graph6(n))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             yield from pool.imap(_sweep_one, tasks, chunksize=16)

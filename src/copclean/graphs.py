@@ -16,6 +16,11 @@ vertex set.  The cleaning engine steps on these masks, and
 Also here: the graph6 codec, structural metrics (degrees, girth, diameter,
 distance-l degrees), canonical forms, and an exhaustive enumerator of
 connected graphs by isomorphism class.
+
+A class's canonical key is its upper triangle in graph6 bit order, the
+first pair highest, so the key padded to whole characters is the body of
+the class's graph6 record.  The enumerator streams those records, and
+``parse_graph6`` is the one decoder from graph6 to a ``Graph``.
 """
 
 from __future__ import annotations
@@ -499,12 +504,6 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     return Graph.from_edge_arrays(n, us, vs, name=name)
 
 
-def _upper_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """Pairs i < j in graph6 bit order, the column-major upper triangle:
-    x01, x02, x12, x03, x13, x23, ..."""
-    return ((i, j) for j in range(1, n) for i in range(j))
-
-
 # -- edge-list text format ---------------------------------------------------
 
 
@@ -600,10 +599,19 @@ def canonical_key(rows: tuple[int, ...], n: int) -> int:
     return best
 
 
-def graph_from_key(key: int, n: int) -> Graph:
-    """Rebuild the graph of a canonical upper-triangle certificate."""
-    bits = format(key, f"0{n * (n - 1) // 2}b")
-    return Graph.from_edges(n, [p for p, b in zip(_upper_pairs(n), bits) if b == "1"])
+def _key_rows(key: int, n: int) -> tuple[int, ...]:
+    """The bit rows of the graph whose upper-triangle certificate is
+    ``key``: pair (i, j), i < j, in graph6 bit order, the first pair
+    highest."""
+    rows = [0] * n
+    bit = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if key >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def _automorphisms(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
@@ -680,7 +688,7 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
     new = t - 1
     seen = set()
     for pkey in parents:
-        prows = graph_from_key(pkey, new).bit_rows
+        prows = _key_rows(pkey, new)
         pdeg = [r.bit_count() for r in prows]
         at_deg = [0] * t  # at_deg[d]: parent vertices of degree d
         for i, d in enumerate(pdeg):
@@ -710,13 +718,33 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
     return out
 
 
+def _connected_graph6(n: int) -> Iterator[str]:
+    """The graph6 record of every connected class on n <= ``ENUM_MAX_N``
+    vertices, in canonical-certificate order, built from the keys alone.
+
+    A key read from its top bit is the graph6 body: padded on the right to
+    a multiple of six bits, it is written six bits to a character after the
+    one size character.  A class is kept iff the ball around vertex 0 of
+    radius n holds every vertex."""
+    full = (1 << n) - 1
+    npairs = n * (n - 1) // 2
+    pad = -npairs % 6
+    shifts = range(npairs + pad - 6, -1, -6)
+    head = chr(63 + n)
+    for key in _all_graph_keys(n):
+        if _ball(_key_rows(key, n), 1, n) == full:
+            body = key << pad
+            yield head + "".join([chr(63 + (body >> s & 63)) for s in shifts])
+
+
 def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n
-    vertices, in canonical-certificate order (deterministic across runs)."""
+    vertices, in canonical-certificate order (deterministic across runs):
+    ``parse_graph6`` over the records of ``_connected_graph6``.  The CLI's
+    sweeps and ``gen`` stream those records and build no list."""
     if not 1 <= n <= ENUM_MAX_N:
         raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
-    graphs = (graph_from_key(key, n) for key in _all_graph_keys(n))
-    return [g for g in graphs if g.is_connected()]
+    return [parse_graph6(g6) for g6 in _connected_graph6(n)]
 
 
 def count_graph_classes(n: int) -> int:

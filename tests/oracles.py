@@ -47,6 +47,14 @@ def brute_canonical(g: Graph) -> int:
     return best
 
 
+def graph_from_key(key: int, n: int) -> Graph:
+    """The graph of an upper-triangle certificate: its bits, read from the
+    top, are the pairs i < j in graph6 order x01, x02, x12, x03, x13, ..."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    bits = format(key, f"0{len(pairs)}b")
+    return Graph.from_edges(n, [p for p, b in zip(pairs, bits) if b == "1"])
+
+
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every vertex permutation p (vertex i to p[i]) that maps the edge set
     onto itself, in ``itertools.permutations`` order."""

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from copclean.cli import main
+from copclean.graphs import Graph, emit_graph6, enumerate_connected
 
 
 def run(capsys, *argv):
@@ -51,6 +52,19 @@ def test_gen_lists_classes(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 21
     assert len(set(lines)) == 21
+
+
+def test_gen_builds_no_graph(capsys, monkeypatch):
+    # gen writes each class's record straight from its canonical key
+    want = [emit_graph6(g) for g in enumerate_connected(7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen built a Graph")
+
+    monkeypatch.setattr(Graph, "from_edge_arrays", staticmethod(refuse))
+    code, out, _ = run(capsys, "gen", "--n", "7")
+    assert code == 0
+    assert out.splitlines() == want and len(want) == 853
 
 
 def test_expected_time_infinite(capsys):

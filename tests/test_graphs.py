@@ -17,6 +17,8 @@ from copclean.graphs import (
     Graph,
     _all_graph_keys,
     _automorphisms,
+    _connected_graph6,
+    _key_rows,
     canonical_key,
     closed_l_neighborhood,
     count_connected_classes,
@@ -24,7 +26,6 @@ from copclean.graphs import (
     emit_graph6,
     enumerate_connected,
     girth,
-    graph_from_key,
     metrics,
     parse_edge_list,
     parse_graph6,
@@ -370,11 +371,22 @@ def test_automorphisms_match_brute_force():
     cube = Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
                                 if u < u ^ 1 << b])
     k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
-    cases = [graph_from_key(key, t) for t in range(1, 7) for key in _all_graph_keys(t)]
+    cases = [oracles.graph_from_key(key, t) for t in range(1, 7) for key in _all_graph_keys(t)]
     cases += [cycle(8), cube, k44]
     for g in cases:
         assert _automorphisms(g.bit_rows, g.n) == oracles.brute_automorphisms(g), g.edges()
     assert [len(_automorphisms(g.bit_rows, 8)) for g in cases[-3:]] == [16, 48, 1152]
+
+
+def test_key_codec_matches_referee():
+    # every class on t <= 7 vertices, connected or not: a key's bit rows,
+    # its graph6 record, and the connectivity filter against the referee's
+    # Graph built pair by pair
+    for t in range(1, 8):
+        refs = [oracles.graph_from_key(key, t) for key in _all_graph_keys(t)]
+        assert [_key_rows(key, t) for key in _all_graph_keys(t)] == [g.bit_rows for g in refs]
+        assert list(_connected_graph6(t)) == [emit_graph6(g) for g in refs if g.is_connected()]
+    assert len(refs) == 1044 and sum(g.is_connected() for g in refs) == 853
 
 
 def test_orbit_pruning_pinned(monkeypatch):
