@@ -617,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=list(stochastic.MODES), default="random")
     sp.add_argument("--move-model", choices=list(stochastic.MOVE_MODELS), default="per_cop")
     sp.add_argument("--placement", choices=list(stochastic.PLACEMENTS), default="optimal")
-    sp.add_argument("--l", type=int, help="sight radius for belief mode")
+    sp.add_argument("--l", type=int, help="sight radius, belief mode only")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_expected_time)
 

@@ -65,10 +65,6 @@ def check_edge_cap(m: int) -> None:
         raise UnsupportedSizeError(f"graph of {m} edges is above the cap of {MAX_EDGES}")
 
 
-ACYCLIC = None        # girth sentinel
-DISCONNECTED = None   # diameter sentinel
-
-
 class Graph:
     """Immutable simple undirected graph.
 

@@ -73,8 +73,12 @@ pairs, so the won states of one configuration and side to move form one
 vertex mask, and a round of backward induction is a few mask operations
 per configuration.  Limited-sight capture has no such layout (its states
 carry a candidate set, and a move splits it into branches), so it builds
-an AND-OR graph and solves it with ``_retrograde``, a bucketed backward
-pass that yields both the winning region and the round counts.
+an AND-OR graph, with states and moves numbered apart, and solves it round
+by round.  A move with no branches is won in round 0; a move won in round
+t wins its makers in round t+1, and they complete, in round t+1, every
+move whose last branch they are.  A step adds 0 or 1 round, so the moves
+of one round are one list, and the pass yields both the winning region
+and the round counts.
 
 All engines enforce explicit state budgets and raise ``TooLargeError`` with
 partial results rather than running away on oversized inputs.
@@ -491,43 +495,6 @@ class PursuitResult:
     states: int
 
 
-def _retrograde(need, is_or, seeds, preds):
-    """Least fixpoint of an AND-OR graph, with round counts, in one
-    bucketed backward pass: limited-sight capture's solver.
-
-    Node v is won once ``need[v]`` of its successors are won: 1 on an OR
-    node, all of them on an AND node.  ``seeds`` lists ``(node, rounds)``
-    pairs won outright, one per node, and ``preds[v]`` the nodes that have v as a
-    successor.  A node's round count is that of the successor that
-    completed it, plus ``is_or[v]`` (1 on OR nodes, 0 on AND nodes).
-    Nodes complete in increasing round count, so an OR node takes the
-    fewest rounds over its won successors and an AND node the most.
-
-    Returns the round counts, NONE where the node is not won.  ``need`` is
-    consumed: a won node's entry drops to 0 or below, so it never
-    completes twice.
-    """
-    val = [NONE] * len(need)
-    buckets: dict[int, list[int]] = {}
-    for v, t in seeds:
-        val[v] = t
-        need[v] = 0
-        buckets.setdefault(t, []).append(v)
-    while buckets:
-        t = min(buckets)
-        cur = buckets[t]
-        for v in cur:   # AND nodes completed at t join cur as it runs
-            for p in preds[v]:
-                left = need[p] - 1
-                need[p] = left
-                if not left:
-                    tp = t + is_or[p]
-                    val[p] = tp
-                    buckets.setdefault(tp, []).append(p)
-        del buckets[t]
-    return val
-
-
 def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
              who: str = "pursuer", space: str = "pursuit"):
     """The pursuit game, solved over evader-position masks: returns the
@@ -688,15 +655,13 @@ def limited_capture_solve(
             parts.append(inv)
         return parts
 
-    # forward exploration into the AND-OR graph: an OR node per state, an
-    # AND node per placement and per distinct move key over its branches;
-    # an AND node with no branches wins at once
-    state_id: dict[int, int] = {}   # state key -> node id
-    move_id: dict[int, int] = {}    # move key c2 << n | S & free[c2] -> node id
-    need: list[int] = []
-    is_or: list[int] = []
-    preds: list = []
-    seeds = []
+    # forward exploration into the AND-OR graph, states and moves numbered
+    # apart: a move is one per placement, then one per distinct move key
+    state_id: dict[int, int] = {}   # state key -> state id
+    move_id: dict[int, int] = {}    # move key c2 << n | S & free[c2] -> move id
+    into: list[list[int]] = []      # into[s]: the moves state s is a branch of
+    need: list[int] = []            # need[a]: move a's branches not yet won
+    makers: list[list[int]] = []    # makers[a]: the states that make move a
     stack = []
 
     def intern(c2, piece):
@@ -707,31 +672,23 @@ def limited_capture_solve(
                 raise TooLargeError(
                     f"candidate-set space exceeds budget {budget}", partial=None
                 )
-            sid = len(need)
-            state_id[key] = sid
-            need.append(1)
-            is_or.append(1)
-            preds.append([])
+            sid = state_id[key] = len(into)
+            into.append([])
             stack.append((sid, key))
         return sid
 
-    def and_node(branches, up):
-        # a new AND node over the state ids ``branches``; ``up`` lists the
-        # states that make its move, none for a placement
-        node = len(need)
+    def add_move(branches, up):
+        a = len(need)
         need.append(len(branches))
-        is_or.append(0)
-        preds.append(up)
+        makers.append(up)
         for b in branches:
-            preds[b].append(node)
-        if not branches:
-            seeds.append((node, 0))
-        return node
+            into[b].append(a)
+        return a
 
-    # the placements are interned before any step table is built, so an
-    # over-budget start builds none
-    places = [and_node([intern(ci, p) for p in split(full & ~occ[ci], sights[ci])], [])
-              for ci in range(len(cfgs))]
+    # the placements, moves 0..C-1 with no makers, are interned before any
+    # step table is built, so an over-budget start builds none
+    for ci in range(len(cfgs)):
+        add_move([intern(ci, p) for p in split(full & ~occ[ci], sights[ci])], [])
     succs = _succs(g, k)
     lo, hi, h = _spread(g)
     low = (1 << h) - 1
@@ -745,7 +702,7 @@ def limited_capture_solve(
             mkey = c2 << n | S0
             mv = move_id.get(mkey)
             if mv is not None:
-                preds[mv].append(sid)
+                makers[mv].append(sid)
                 continue
             s2 = sights[c2]
             branch_ids = set()
@@ -755,10 +712,31 @@ def limited_capture_solve(
                     grown = (piece | lo[piece & low] | hi[piece >> h]) & f2
                     for part in split(grown, s2):
                         branch_ids.add(intern(c2, part))
-            move_id[mkey] = and_node(branch_ids, [sid])
+            move_id[mkey] = add_move(branch_ids, [sid])
 
-    val = _retrograde(need, is_or, seeds, preds)
-    times = [val[p] for p in places]
+    # the least fixpoint, round by round: a move with no branches is won in
+    # round 0; every move won in round t wins each of its makers not yet won
+    # in round t+1, and those states complete, in round t+1, every move
+    # whose last branch they are
+    rounds = [NONE] * len(need)
+    won = bytearray(len(into))
+    moves = [a for a, m in enumerate(need) if not m]
+    t = 0
+    while moves:
+        for a in moves:
+            rounds[a] = t
+        t += 1
+        nxt = []
+        for a in moves:
+            for s in makers[a]:
+                if not won[s]:
+                    won[s] = 1
+                    for b in into[s]:
+                        need[b] -= 1
+                        if not need[b]:
+                            nxt.append(b)
+        moves = nxt
+    times = rounds[:len(cfgs)]
     best = min((t for t in times if t != NONE), default=None)
     return LimitedCaptureResult(
         k=k, l=l, capture=best is not None, capture_time=best,

@@ -292,7 +292,8 @@ def expected_time(
     within ``_TIE_REL`` go to the first.  mode "belief": searchers play the
     optimal limited-sight capture strategy (sight radius ``l``), which is
     deterministic, so the value is the worst-case round count; only rho=0
-    and optimal placement are supported there.
+    and optimal placement are supported there.  Random searchers have no
+    sight radius, so random mode refuses ``l``.
     """
     if mode not in MODES:
         raise BadParamError(f"mode must be one of {MODES}")
@@ -312,6 +313,8 @@ def expected_time(
             value=value, placement=res.placement, residual=0.0, iterations=0,
             states=res.states,
         )
+    if l is not None:
+        raise BadParamError("the sight radius l applies to belief mode only")
 
     chain = _RandomPursuit(g, k, rho, move_model, state_budget=state_budget)
     wc, residual, iters = chain.policy_iteration()

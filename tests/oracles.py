@@ -464,8 +464,19 @@ def brute_cop_number(g: Graph) -> int:
 
 def brute_limited_capture(g: Graph, k: int, l: int, observe_after_cop_move: bool = True):
     """Can the pursuers guarantee co-location when they only see within
-    distance l?  Recursive minimax over (cops, candidate set) with memoised
-    loss detection via an iterative fixpoint."""
+    distance l?"""
+    return brute_limited_capture_rounds(g, k, l, observe_after_cop_move)[0]
+
+
+def brute_limited_capture_rounds(g: Graph, k: int, l: int, observe_after_cop_move: bool = True):
+    """``(capture, capture_time, placement)`` for pursuers that only see
+    within distance l, over (cops, candidate set) states.
+
+    The won set grows in synchronous rounds: a state joins in round t if
+    some move has every branch won before round t, so a move with no
+    branches wins at once.  A placement takes the most rounds of its pieces
+    (0 with none), and the placement is the first config, in
+    ``combinations_with_replacement`` order, with the least time."""
     verts = frozenset(range(g.n))
     cfgs = [tuple(sorted(c)) for c in
             itertools.combinations_with_replacement(range(g.n), k)]
@@ -511,14 +522,12 @@ def brute_limited_capture(g: Graph, k: int, l: int, observe_after_cop_move: bool
             out.append((nxt, branches))
         return out
 
-    # least fixpoint: a state is winning if some move has every branch winning
+    # every reachable state with its moves
     reach = {}
     q = deque()
-    init = []
     for cfg in cfgs:
         for piece in split(cfg, verts - frozenset(cfg)):
             key = (cfg, piece)
-            init.append((cfg, key))
             if key not in reach:
                 reach[key] = None
                 q.append(key)
@@ -532,24 +541,27 @@ def brute_limited_capture(g: Graph, k: int, l: int, observe_after_cop_move: bool
                     reach[k2] = None
                     q.append(k2)
 
-    winning = set()
-    changed = True
-    while changed:
-        changed = False
-        for key, options in reach.items():
-            if key in winning:
-                continue
-            for nxt, branches in options:
-                if all((nxt, b) in winning for b in branches):
-                    winning.add(key)
-                    changed = True
-                    break
+    won = {}   # state -> the round it joins the won set
+    t = 1
+    while True:
+        new = [key for key, options in reach.items() if key not in won
+               and any(all((nxt, b) in won for b in branches) for nxt, branches in options)]
+        if not new:
+            break
+        for key in new:
+            won[key] = t
+        t += 1
 
+    best = None
     for cfg in cfgs:
-        pieces = split(cfg, verts - frozenset(cfg))
-        if not pieces or all((cfg, p) in winning for p in pieces):
-            return True
-    return False
+        pieces = [(cfg, p) for p in split(cfg, verts - frozenset(cfg))]
+        if all(p in won for p in pieces):
+            time = max((won[p] for p in pieces), default=0)
+            if best is None or time < best[0]:
+                best = (time, cfg)
+    if best is None:
+        return False, None, None
+    return True, best[0], best[1]
 
 
 def brute_capture_number_limited(g: Graph, l: int) -> int:

@@ -73,6 +73,13 @@ def test_expected_time_infinite(capsys):
     assert json.loads(out)["value"] == "INFINITE"
 
 
+def test_expected_time_refuses_sight_in_random_mode(capsys):
+    code, out, err = run(capsys, "expected-time", "--family", "cycle:5", "--k", "2",
+                         "--l", "1", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
+
+
 def test_mc_deterministic(capsys):
     args = ("mc", "--family", "complete:4", "--k", "1", "--trials", "300",
             "--seed", "11", "--json")

@@ -410,15 +410,17 @@ def test_pursuit_zone_covers_all():
 
 
 def test_limited_capture_matches_oracle(small_connected):
-    for g in small_connected:
-        if g.n < 2:
-            continue
-        for k in (1, 2):
-            for l in (0, 1):
-                for obs in (True, False):
-                    want = oracles.brute_limited_capture(g, k, l, observe_after_cop_move=obs)
-                    got = limited_capture_solve(g, k, l, observe_after_cop_move=obs)
-                    assert got.capture == want, (g.edges(), k, l, obs)
+    # capture, capture_time and placement against synchronous rounds over
+    # plain sets: 240 small cases, then four named graphs with l=1
+    cases = [(g, k, l, obs) for g in small_connected if 2 <= g.n <= 5
+             for k in (1, 2) for l in (0, 1) for obs in (True, False)]
+    cases += [(from_spec(spec), k, 1, True)
+              for spec in ("cycle:6", "cycle:7", "grid:2:4", "petersen") for k in (1, 2)]
+    assert len(cases) == 248
+    for g, k, l, obs in cases:
+        got = limited_capture_solve(g, k, l, observe_after_cop_move=obs)
+        want = oracles.brute_limited_capture_rounds(g, k, l, observe_after_cop_move=obs)
+        assert (got.capture, got.capture_time, got.placement) == want, (g.edges(), k, l, obs)
 
 
 def test_limited_capture_c4():
@@ -440,16 +442,21 @@ def test_full_sight_degenerates_to_pursuit():
             assert lc.capture_time == pc.capture_time
 
 
-@pytest.mark.parametrize("rows, cols, observe, want", [
-    (3, 4, True, (3, 1538, (0, 9))), (3, 4, False, (3, 2152, (0, 9))),
-    (3, 5, True, (4, 4244, (0, 11))), (3, 5, False, (4, 7524, (0, 11))),
-    (4, 4, True, (5, 5708, (0, 2))), (4, 4, False, (7, 11178, (1, 7))),
-], ids=[f"{g}-{mode}" for g in ("3x4", "3x5", "4x4") for mode in ("observe", "no-observe")])
-def test_limited_capture_grid_pins(rows, cols, observe, want):
-    # (capture_time, states, placement) with two searchers of sight 1 on
-    # row-major grids: states and placement pin the AND-OR graph's
-    # interning order, not only the game value
-    res = limited_capture_solve(grid(rows, cols), 2, 1, observe_after_cop_move=observe)
+@pytest.mark.parametrize("spec, k, observe, want", [
+    ("grid:3:4", 2, True, (3, 1538, (0, 9))), ("grid:3:4", 2, False, (3, 2152, (0, 9))),
+    ("grid:3:5", 2, True, (4, 4244, (0, 11))), ("grid:3:5", 2, False, (4, 7524, (0, 11))),
+    ("grid:4:4", 2, True, (5, 5708, (0, 2))), ("grid:4:4", 2, False, (7, 11178, (1, 7))),
+    ("petersen", 2, True, (None, 745, None)), ("petersen", 3, True, (1, 2170, (0, 2, 6))),
+    ("heawood", 2, True, (None, 4529, None)),
+], ids=[f"{g}-{mode}" for g in ("3x4", "3x5", "4x4") for mode in ("observe", "no-observe")]
+    + ["petersen-k2", "petersen-k3", "heawood-k2"])
+def test_limited_capture_grid_pins(spec, k, observe, want):
+    # (capture_time, states, placement) with searchers of sight 1 (grids
+    # row-major): states and placement pin the AND-OR graph's interning
+    # order, not only the game value; a None time is no capture, which
+    # still explores every reachable state
+    res = limited_capture_solve(from_spec(spec), k, 1, observe_after_cop_move=observe)
+    assert res.capture == (want[0] is not None)
     assert (res.capture_time, res.states, res.placement) == want
 
 

@@ -136,6 +136,8 @@ def test_expected_time_argument_errors():
         expected_time(g, 1, mode="belief", l=1, rho=1)
     with pytest.raises(BadParamError):
         expected_time(g, 1, mode="belief", l=1, placement="uniform")
+    with pytest.raises(BadParamError):
+        expected_time(g, 1, l=1)                          # random mode has no sight
 
 
 def test_monte_carlo_deterministic():
