@@ -251,38 +251,58 @@ def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.nd
     A type q of an evader (i, a) is blocked when the searcher's closed row
     holds a landing vertex (j, (a + 2^q) mod 2^m) with j != i, which is
     exactly "the searcher occupies or is adjacent to a landing vertex".  So
-    an entry (j, r) of the row lands type q iff all three hold:
+    an outside entry (j, r) of the row lands type q iff both hold:
 
     * j != i;
-    * j is an outside block, not a pad (-1) and not a hub;
     * d = (r - a) mod 2^m equals 2^q, with q in class(i).
 
     Each entry therefore names at most one type, the bit d, and only when d
-    is a power of two.  The kernel keeps d where the entry passes the block
-    tests and d is a power of two, ANDs it with the class mask of block i
-    (the OR of 2^q over class(i)), ORs each row's bits together and counts
-    them.  The power-of-two test must come before the AND: d = 2^q + 2^r
-    with r outside the class would otherwise pass as 2^q."""
-    outside = cg.blocks << cg.m
-    closed = cg.graph.closed_rows(outside)
-    mask = (1 << cg.m) - 1
+    is a power of two.  The kernel keeps d where the entry's block is not i
+    and d is a power of two, ANDs it with the class mask of block i (the OR
+    of 2^q over class(i)), ORs each row's bits together and counts them.
+    The power-of-two test must come before the AND: d = 2^q + 2^r with r
+    outside the class would otherwise pass as 2^q.
+
+    The rows are read where ``build_construction`` wrote them.  Every row
+    of block j has one width, so block j's rows are a (2^m x width) view of
+    ``nbrs``; its last column, hub j, is not an outside vertex and is left
+    out.  The pairs are taken by searcher block, ``_CHUNK`` at a time, and
+    the searcher's own vertex, in block j, is judged as one more entry.
+    Each count goes back to its pair's index, so nothing the size of the
+    graph is copied."""
+    m, mask = cg.m, (1 << cg.m) - 1
+    indptr, nbrs = cg.graph._indptr, cg.graph._nbrs
     class_bits = np.array([sum(1 << q for q in cls) for cls in cg.partition], dtype=np.int32)
     counts = np.empty(len(evaders), dtype=np.int32)
-    for lo in range(0, len(evaders), _CHUNK):
-        ev = evaders[lo:lo + _CHUNK]
-        i = (ev >> cg.m).astype(np.int32)
-        row = closed[searchers[lo:lo + _CHUNK]]
-        d = row - (ev & mask).astype(np.int32)[:, None]
-        d &= mask
-        block = row >> cg.m
-        lands = (d & (d - 1)) == 0
-        lands &= block != i[:, None]
-        # pads shift to -1, hubs to cg.blocks: both fail the unsigned test
-        lands &= block.view(np.uint32) < cg.blocks
-        d &= class_bits[i][:, None]
-        d *= lands
-        bits = np.bitwise_or.reduce(d, axis=1)
-        counts[lo:lo + _CHUNK] = sum((bits >> q) & 1 for q in range(cg.m))
+    for j in range(cg.blocks):
+        lo = int(indptr[j << m])
+        width = int(indptr[(j << m) + 1]) - lo
+        slab = nbrs[lo:lo + (width << m)].reshape(1 << m, width)[:, :-1]
+        pairs = np.flatnonzero(searchers >> m == j)
+        for c in range(0, len(pairs), _CHUNK):
+            p = pairs[c:c + _CHUNK]
+            ev, se = evaders[p], searchers[p]
+            i = ev >> m
+            ev &= mask
+            se &= mask
+            bits = class_bits[i]
+            row = slab[se]
+            d = row - ev[:, None]
+            d &= mask
+            lands = (d & (d - 1)) == 0
+            lands &= (row >> m) != i[:, None]
+            d &= bits[:, None]
+            d *= lands
+            # the searcher's own vertex (j, se): d = se - a, landing iff j != i
+            se -= ev
+            se &= mask
+            own = (se & (se - 1)) == 0
+            own &= i != j
+            se &= bits
+            se *= own
+            np.bitwise_or.reduce(d, axis=1, out=bits)
+            bits |= se
+            counts[p] = sum((bits >> q) & 1 for q in range(m))
     return counts
 
 
@@ -291,8 +311,8 @@ MAX_SAMPLES = 1 << 24
 
 def _check_samples(samples: int) -> None:
     """Refuse a sampled check's pair count before anything is built: below
-    one there is nothing to check, and above ``MAX_SAMPLES`` the three int64
-    arrays of ``_sample_pairs`` alone would pass 400 MB (24 GB at 10^9)."""
+    one there is nothing to check, and above ``MAX_SAMPLES`` the two int32
+    arrays of ``_sample_pairs`` alone would pass 128 MiB (8 GB at 10^9)."""
     if samples < 1:
         raise BadParamError("sampled blocking check needs samples >= 1")
     if samples > MAX_SAMPLES:
@@ -311,9 +331,12 @@ def _sample_pairs(outside: int, samples: int, seed: int) -> tuple[np.ndarray, np
     evader, so no draw is rejected.  A negative seed raises
     ``BadParamError``."""
     rng = _seeded_rng(seed)
-    evaders = rng.integers(outside, size=samples)
-    offsets = rng.integers(outside - 1, size=samples)
-    return evaders, (evaders + 1 + offsets) % outside
+    evaders = rng.integers(outside, size=samples, dtype=np.int32)
+    searchers = rng.integers(outside - 1, size=samples, dtype=np.int32)
+    searchers += 1
+    searchers += evaders
+    searchers %= outside
+    return evaders, searchers
 
 
 # violating pairs a check re-judges and reports
@@ -350,8 +373,8 @@ def check_blocking(
     if mode == "exhaustive":
         # walk order: searcher block j, searcher residue delta, evader block i
         nb, size = cg.blocks, 1 << cg.m
-        searchers = np.repeat(np.arange(nb * size, dtype=np.int64), nb)
-        evaders = np.tile(np.arange(nb, dtype=np.int64) << cg.m, nb * size)
+        searchers = np.repeat(np.arange(nb * size, dtype=np.int32), nb)
+        evaders = np.tile(np.arange(nb, dtype=np.int32) << cg.m, nb * size)
         keep = searchers != evaders
         evaders, searchers = evaders[keep], searchers[keep]
         checked, extra = outside * (outside - 1), {}

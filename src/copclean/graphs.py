@@ -8,10 +8,11 @@ work on those, and ``_ball`` is their one closed radius-l ball of a vertex
 mask.
 
 Graphs of every size share one CSR kernel over boolean vertex masks:
-``Graph.adjacent_to`` flags the neighbours of a mask in one numpy scatter,
-and ``Graph.closed_ball`` layers it into the closed radius-l ball of a
-vertex set.  The cleaning engine steps on these masks, and
-``closed_l_neighborhood`` is the same ball as a frozenset.
+``Graph.adjacent_to`` flags the neighbours of a mask with one numpy scatter
+per range of rows the mask touches, and ``Graph.closed_ball`` layers it
+into the closed radius-l ball of a vertex set.  The cleaning engine steps
+on these masks, and ``closed_l_neighborhood`` is the same ball as a
+frozenset.
 
 Also here: the graph6 codec, structural metrics (degrees, girth, diameter,
 distance-l degrees), canonical forms, and an exhaustive enumerator of
@@ -39,7 +40,7 @@ from .errors import (
 )
 
 _BIT_ROWS_MAX_N = 64
-_ROW_CHUNK = 1 << 12   # rows per scatter in closed_rows
+_ROW_CHUNK = 1 << 12   # rows per scatter in adjacent_to
 _GRAPH6_MAX_N = 1 << 18
 # byte translations: a graph6 character to its six bits and back, six bits
 # to their count
@@ -177,26 +178,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._nbrs) // 2
 
-    def closed_rows(self, count: int) -> np.ndarray:
-        """Row v (v < count) holds v and then its neighbours ascending, as
-        an int32 matrix padded with -1 to the widest row."""
-        indptr, nbrs = self._indptr, self._nbrs
-        deg = np.diff(indptr[:count + 1])
-        stride = 1 + int(deg.max())
-        out = np.full((count, stride), -1, dtype=np.int32)
-        out[:, 0] = np.arange(count, dtype=np.int32)
-        flat = out.reshape(-1)
-        # rows a..b-1 hold nbrs[lo:hi] in order: its t-th entry, the j-th
-        # neighbour of v with t = indptr[v] - lo + j, goes to row v, column
-        # 1 + j, so at flat offset t + v * stride + 1 + lo - indptr[v]
-        for a in range(0, count, _ROW_CHUNK):
-            b = min(a + _ROW_CHUNK, count)
-            lo, hi = int(indptr[a]), int(indptr[b])
-            dest = np.repeat(np.arange(a, b) * stride + (1 + lo) - indptr[a:b], deg[a:b])
-            dest += np.arange(hi - lo)
-            flat[dest] = nbrs[lo:hi]
-        return out
-
     def _adjacency(self) -> list[list[int]]:
         """Every vertex's neighbour list, as plain Python lists."""
         ptr, nbrs = self._indptr.tolist(), self._nbrs.tolist()
@@ -243,11 +224,20 @@ class Graph:
     def adjacent_to(self, mask: np.ndarray) -> np.ndarray:
         """Boolean vertex mask of every neighbour of a vertex in ``mask``.
 
-        ``np.repeat(mask, deg)`` flags the arcs leaving the vertices of
-        ``mask``, in CSR order, so their heads are the flagged entries of
-        ``nbrs``; an empty row repeats nothing."""
+        Over each range of ``_ROW_CHUNK`` rows, ``np.repeat(part, deg)``
+        flags the arcs leaving the range's vertices of ``mask``, in CSR
+        order, so their heads are the flagged entries of that range's
+        ``nbrs``; an empty row repeats nothing.  A range where the mask is
+        empty is skipped, so a sparse mask costs its own rows, and a dense
+        one holds one range's arcs at a time."""
         out = np.zeros(self.n, dtype=bool)
-        out[self._nbrs[np.repeat(mask, np.diff(self._indptr))]] = True
+        indptr, nbrs = self._indptr, self._nbrs
+        for a in range(0, self.n, _ROW_CHUNK):
+            part = mask[a:a + _ROW_CHUNK]
+            if not part.any():
+                continue
+            ptr = indptr[a:a + _ROW_CHUNK + 1]
+            out[nbrs[ptr[0]:ptr[-1]][np.repeat(part, np.diff(ptr))]] = True
         return out
 
     def closed_ball(self, vertices: Iterable[int], l: int) -> np.ndarray:

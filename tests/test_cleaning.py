@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from copclean import cleaning
 from copclean.cleaning import (
     AFTER_CLEAN,
     AFTER_SPREAD,
@@ -227,10 +228,15 @@ def _random_walk(g, k, l, rng, turns=4):
     return StrategyScript(l=l, place=place, turns=tuple(script))
 
 
+def _json_of_states(trace):
+    return [json.dumps(s.to_dict(), sort_keys=True) for s in trace.states]
+
+
 def _assert_matches_plain_sets(g, script):
     trace = run_script(g, script)
     want = oracles.plain_run_script(g, script.l, script.place, script.turns)
     assert [s.to_dict() for s in trace.states] == want
+    assert trace.to_json_lines().splitlines() == _json_of_states(trace)
     cleaned = [s["gas"] for s in want if s["phase"] == AFTER_CLEAN]
     assert trace.min_gas == min(map(len, cleaned))
     assert trace.fully_cleaned_at == next((t for t, gas in enumerate(cleaned) if not gas), None)
@@ -248,6 +254,25 @@ def test_construction_scripts_match_plain_set_steps():
     cg = build_construction(ConstructionSpec(k=2, m=8))
     for cops in (1, 2):
         _assert_matches_plain_sets(cg.graph, scripted_seeing_strategy(cg, cops=cops))
+
+
+def test_run_script_builds_no_set_until_asked(monkeypatch):
+    # a play keeps its states as masks: neither its summary nor its JSON
+    # lines build a set, and the states read afterwards agree with both
+    cg = build_construction(ConstructionSpec(k=2, m=12))
+
+    def no_set(*args):
+        raise AssertionError("built a set")
+
+    monkeypatch.setattr(cleaning, "_as_set", no_set)
+    monkeypatch.setattr(cleaning, "frozenset", no_set, raising=False)
+    trace = run_script(cg.graph, scripted_seeing_strategy(cg, cops=1))
+    lines = trace.to_json_lines().splitlines()
+    monkeypatch.undo()
+    cleaned = [s for s in trace.states if s.phase == AFTER_CLEAN]
+    assert trace.min_gas == min(len(s.gas) for s in cleaned) > 0
+    assert trace.fully_cleaned_at is None
+    assert lines == _json_of_states(trace)
 
 
 def test_closed_l_neighborhood_is_the_bfs_ball():

@@ -345,6 +345,20 @@ def test_sampled_pairs_are_distinct_and_uniform():
         assert np.abs(counts - samples * p).max() <= 5 * sigma
 
 
+def test_sampled_pairs_are_the_int64_stream():
+    # the pairs are drawn and formed in int32; a second generator with the
+    # same seed, drawing in int64, must give the same pairs by the formula
+    for seed in (0, 7, 12):
+        for outside in (1024, 16384, 262144):
+            ev, se = _sample_pairs(outside, 20_000, seed)
+            assert ev.dtype == se.dtype == np.int32
+            rng = np.random.default_rng(seed)
+            ev64 = rng.integers(outside, size=20_000, dtype=np.int64)
+            off = rng.integers(outside - 1, size=20_000, dtype=np.int64)
+            assert np.array_equal(ev, ev64)
+            assert np.array_equal(se, (ev64 + 1 + off) % outside)
+
+
 def test_sampled_check_rejects_negative_seed():
     with pytest.raises(BadParamError):
         check_blocking(build(k=2, m=8), mode="sampled", samples=10, seed=-1)

@@ -446,23 +446,25 @@ def test_big_graph_uses_sparse_rows():
         g.bit_rows
 
 
-def test_closed_rows_both_storages():
+def test_adjacent_to_and_closed_ball_match_plain_sets():
     rng = random.Random(5)
     # either side of the 64-vertex limit of bit_rows
-    cases = [(g, g.n - 2) for g in (random_connected(12, rng), random_connected(80, rng))]
-    # rows of degree 3, 2 and 1, all n of them, over more than one scatter chunk
-    legs = spider(3, graphs._ROW_CHUNK)
-    cases.append((legs, legs.n))
-    # the construction's outside blocks, as the blocking check reads them
-    cg = build_construction(ConstructionSpec(k=2, m=8))
-    cases.append((cg.graph, cg.blocks << cg.m))
-    for g, count in cases:
-        rows = g.closed_rows(count).tolist()
-        assert len(rows) == count
-        width = 1 + max(g.degree(v) for v in range(count))
-        for v, row in enumerate(rows):
-            want = [v] + g.neighbors(v)
-            assert row == want + [-1] * (width - len(want))
+    cases = [random_connected(12, rng), random_connected(80, rng)]
+    # rows of degree 3, 2 and 1 over four ranges of _ROW_CHUNK rows
+    cases.append(spider(3, graphs._ROW_CHUNK))
+    # the construction: hubs of degree 2^m + 3 after rows of degree 13
+    cases.append(build_construction(ConstructionSpec(k=2, m=8)).graph)
+    edge = graphs._ROW_CHUNK
+    for g in cases:
+        ones = [[v] for v in sorted({0, edge - 1, edge, g.n - 1}) if v < g.n]
+        for vertices in [[], *ones, rng.sample(range(g.n), g.n // 3), list(range(g.n))]:
+            mask = np.zeros(g.n, dtype=bool)
+            mask[vertices] = True
+            want = {w for v in vertices for w in g.neighbors(v)}
+            assert set(np.flatnonzero(g.adjacent_to(mask)).tolist()) == want, (g, vertices)
+            for l in (1, 2):
+                ball = g.closed_ball(vertices, l)
+                assert set(np.flatnonzero(ball).tolist()) == oracles.seen_by(g, vertices, l)
 
 
 @st.composite
