@@ -600,34 +600,65 @@ def _key_rows(key: int, n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _automorphisms(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Every automorphism of the graph with bit rows ``rows``, as a tuple
-    ``p`` with ``p[i]`` the image of vertex i, the identity first.
+def _walk_automorphisms(rows: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the automorphisms of the graph with bit rows ``rows``, each a
+    tuple ``p`` with ``p[i]`` the image of vertex i, one at a time.
 
-    Backtracking assigns images to 0, 1, ... in turn.  Vertex i may go to
-    an unused w of its degree whose adjacency to the images already placed
-    is exactly the image of i's adjacency to 0..i-1, so every full
-    assignment preserves adjacency and every automorphism is reached.  The
-    lowest candidate is tried first, so the first one found is the
-    identity."""
+    Backtracking assigns images to the vertices in breadth-first order,
+    each component from its least vertex.  A vertex may go to an unused w
+    of its degree whose adjacency to the images already placed is exactly
+    the image of its adjacency to the vertices placed before it, so every
+    full assignment preserves adjacency and every automorphism is reached.
+    In breadth-first order each vertex but a component's first has a
+    placed neighbour, so its image is one of few: the walk meets few dead
+    ends even on graphs whose labels are shuffled."""
     deg = [r.bit_count() for r in rows]
     same = [[w for w in range(n) if deg[w] == deg[v]] for v in range(n)]
-    back = [_mask_bits(rows[i] & (1 << i) - 1) for i in range(n)]   # i's earlier neighbours
-    out = []
-    image = [0] * n   # image[j]: the bit of vertex j's image
+    order = []
+    placed = 0
+    for root in range(n):
+        if not placed >> root & 1:
+            placed |= 1 << root
+            i = len(order)
+            order.append(root)
+            while i < len(order):
+                fresh = rows[order[i]] & ~placed
+                placed |= fresh
+                order += _mask_bits(fresh)
+                i += 1
+    image = [0] * n   # image[v]: the bit of vertex v's image
+    before = 0
+    back = []   # back[i]: the neighbours of order[i] placed before it
+    for v in order:
+        back.append(_mask_bits(rows[v] & before))
+        before |= 1 << v
 
     def extend(i, used):
         if i == n:
-            out.append(tuple(b.bit_length() - 1 for b in image))
+            yield tuple(b.bit_length() - 1 for b in image)
             return
+        v = order[i]
         want = sum([image[j] for j in back[i]])
-        for w in same[i]:
+        for w in same[v]:
             if not used >> w & 1 and rows[w] & used == want:
-                image[i] = 1 << w
-                extend(i + 1, used | 1 << w)
+                image[v] = 1 << w
+                yield from extend(i + 1, used | 1 << w)
 
-    extend(0, 0)
-    return out
+    return extend(0, 0)
+
+
+def _automorphisms(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with bit rows ``rows``, as a tuple
+    ``p`` with ``p[i]`` the image of vertex i, in ascending order (so the
+    identity first).
+
+    Enumeration reads the whole group of graphs on at most 8 vertices.
+    Limited-sight capture instead walks ``_walk_automorphisms`` and stops
+    past ``solvers._AUT_CAP`` elements, as complete:26 and star:25 have 26!
+    and 25!: past the cap it uses the trivial group.  Any subgroup gives a
+    correct quotient of the game, but the first elements found need not
+    form one."""
+    return sorted(_walk_automorphisms(rows, n))
 
 
 ENUM_MAX_N = 9

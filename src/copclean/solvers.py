@@ -37,6 +37,29 @@ Three engines share this module:
   states the evader can start from, so the same solve also gives the best
   placement's value.
 
+  States are interned one per orbit of Aut(G), the symmetry reduction of
+  model checking (C. N. Ip and D. L. Dill, "Better verification through
+  symmetry", Formal Methods in System Design 9, 1996) applied to the game
+  of N. E. Clarke et al. ("Limited visibility Cops and Robbers", Discrete
+  Appl. Math. 2020).  An automorphism σ maps the game onto itself: the
+  moves of ``(σc, σS)`` and their branches are the images of those of
+  ``(c, S)``, so by induction over the rounds the two states are won in
+  the same round, or neither is.  A state's canonical form is the least
+  ``(σc, σS)`` over the σ that send c to the least rank of its orbit;
+  every branch is interned under its canonical form, and only canonical
+  states are expanded.  Moves keep their raw keys, so they are shared as
+  before, and a move's branch set becomes the set of its branches'
+  canonical forms.  A canonical form has the value and round count of
+  the branch it replaces, and merging two branches of one orbit changes
+  neither whether every branch is won nor the most rounds of any, so
+  every move and state keeps its value and round count in the least
+  fixpoint.  Each placement stays its own move, so ``placement`` keeps its
+  first-on-ties rule.  A dict from raw key to state id sits in front of
+  the canonical keys, so each raw key is canonicalised once; the state
+  budget counts canonical states.  A graph whose group is trivial, or
+  larger than ``_AUT_CAP`` elements, keeps the raw keys: the trivial group
+  is a subgroup, and any subgroup gives an exact quotient.
+
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
 connectivity, in that order, then resolves the state budget and reads one
@@ -65,8 +88,9 @@ class, builds each table once.  A call on another graph empties the slot,
 so the tables of at most one graph are retained: for it, the spread tables,
 one set of configurations and, once read, successor tables per searcher
 count k, one sight table per (k, l) asked, and whether the graph is
-connected.  The tables are tuples: callers share them, so none may change
-them.
+connected; for limited capture also ``_group``, the automorphisms with
+their permutation tables, and ``_orbits``, the config orbits per k.  The
+tables are tuples: callers share them, so none may change them.
 
 Pursuit needs no game graph: its states are (configuration, vertex)
 pairs, so the won states of one configuration and side to move form one
@@ -94,11 +118,13 @@ from typing import Optional
 
 from .cleaning import StrategyScript
 from .errors import BadParamError, TooLargeError
-from .graphs import Graph, _ball, _mask_bits
+from .graphs import Graph, _ball, _mask_bits, _walk_automorphisms
 
 _CLEAN_MAX_N = 26
 _PURSUIT_MAX_N = 64
 _DEFAULT_BUDGET = 5_000_000
+_AUT_CAP = 512   # Heawood has 336 automorphisms and Q4 384; K7 has 5,040
+_CHUNK = 8       # mask bits per permutation table: 256 entries
 NONE = -1   # a round count never reached: not won
 
 
@@ -156,15 +182,17 @@ def _spread(g: Graph):
     lookups inline, in their inner loops, rather than through a call."""
     rows = g.bit_rows
     h = (g.n + 1) // 2
+    return _or_table(rows[:h]), _or_table(rows[h:]), h
 
-    def table(base, bits):
-        t = [0] * (1 << bits)
-        for m in range(1, 1 << bits):
-            low = m & -m
-            t[m] = t[m ^ low] | rows[base + low.bit_length() - 1]
-        return tuple(t)
 
-    return table(0, h), table(h, g.n - h), h
+def _or_table(vals) -> tuple[int, ...]:
+    """``t[m]``, the union of ``vals[i]`` over the set bits i of m, for every
+    m below ``2^len(vals)``.  Each value doubles the table, its new half
+    the old one with that value added, so no entry is built bit by bit."""
+    t = [0]
+    for v in vals:
+        t += [x | v for x in t]
+    return tuple(t)
 
 
 def _step_ranks(cfgs, closed, distinct):
@@ -255,6 +283,87 @@ def _joint_moves(g: Graph, k: int):
 @_per_graph
 def _connected(g: Graph) -> bool:
     return g.is_connected()
+
+
+@_per_graph
+def _group(g: Graph):
+    """Aut(G) as ``(inverse, tables)`` per element σ, or ``()`` when the
+    group is trivial or has more than ``_AUT_CAP`` elements (the trivial
+    group is a subgroup, so its quotient is still exact).  ``tables[j][x]``
+    is the image under σ of the vertices ``_CHUNK*j + i`` for the set bits
+    i of x, so the image σS of a vertex mask S is the sum over the chunks j
+    of ``tables[j][S >> _CHUNK*j & (1 << _CHUNK) - 1]``."""
+    n = g.n
+    auts = list(itertools.islice(_walk_automorphisms(g.bit_rows, n), _AUT_CAP + 1))
+    if not 1 < len(auts) <= _AUT_CAP:
+        return ()
+    out = []
+    for p in auts:
+        inv = [0] * n
+        for v, u in enumerate(p):
+            inv[u] = v
+        out.append((tuple(inv), tuple(_or_table([1 << u for u in p[b:b + _CHUNK]])
+                                      for b in range(0, n, _CHUNK))))
+    return tuple(out)
+
+
+@_per_graph
+def _orbits(g: Graph, k: int):
+    """The orbits of the k-searcher configs under ``_group(g)``, or ``()``
+    when that is empty: ``(base, least)`` with ``base[c]``, the least rank
+    in config c's orbit shifted past the n mask bits, and ``least[c]``,
+    which maps a vertex mask S to the least σS over the σ that send c to
+    that rank.  So ``base[c] | least[c](S)`` is the canonical key of the
+    state (c, S): the same for every state of its orbit.
+
+    Configs are met in rank order, so the first of an orbit is its least,
+    c0, and as σ runs over the group its preimage ``σ^-1 c0`` runs over
+    the orbit: config d gets σ exactly when σd = c0.  Those σ are ``sτ``
+    for any one of them, τ, and every s fixing c0.  On at most ``_CHUNK``
+    vertices a mask is one chunk, so ``least[d]`` looks S up in τ's table,
+    then τS in the table of each s; when only the identity fixes c0, the
+    first lookup is all.  A table of the least image per config would cost
+    256 minima each, more than the solves of small graphs ask for."""
+    group = _group(g)
+    if not group:
+        return ()
+    n = g.n
+    cfgs = _configs(g, k)[0]
+    w = k.bit_length()   # a multiset's key, as in _step_ranks
+    key_rank = {sum(1 << v * w for v in cfg): i for i, cfg in enumerate(cfgs)}
+    base = [None] * len(cfgs)
+    least = [None] * len(cfgs)
+    chunks = range(0, n, _CHUNK)
+    cmask = (1 << _CHUNK) - 1
+    at = tuple.__getitem__
+
+    def chunked(coset):
+        def image(mask):
+            parts = [mask >> b & cmask for b in chunks]
+            return min([sum(map(at, tables, parts)) for tables in coset])
+        return image
+
+    def one_chunk(stab, tau):
+        def image(mask):
+            x = tau[mask]
+            return min([t[x] for t in stab])
+        return image
+
+    for c0, cfg in enumerate(cfgs):
+        if base[c0] is None:
+            cosets = {}
+            for inv, tables in group:
+                cosets.setdefault(key_rank[sum(1 << inv[v] * w for v in cfg)], []).append(tables)
+            stab = [tables[0] for tables in cosets[c0]]   # on one chunk, the s
+            for d, coset in cosets.items():
+                base[d] = c0 << n
+                if n > _CHUNK:
+                    least[d] = chunked(coset)
+                elif len(stab) == 1:
+                    least[d] = coset[0][0].__getitem__
+                else:
+                    least[d] = one_chunk(stab, coset[0][0])
+    return tuple(base), tuple(least)
 
 
 def _game(g: Graph, k: int, radius: int, max_n: int, state_budget: Optional[int],
@@ -608,6 +717,10 @@ def cop_number(g: Graph, state_budget: Optional[int] = None) -> int:
 
 @dataclass
 class LimitedCaptureResult:
+    """``states`` counts the orbit states interned: (positions, candidate
+    set) states that an automorphism of the graph maps onto each other are
+    one state.  With a trivial group, or one past ``_AUT_CAP`` elements,
+    every state is its own orbit."""
     k: int
     l: int
     capture: bool
@@ -656,25 +769,40 @@ def limited_capture_solve(
         return parts
 
     # forward exploration into the AND-OR graph, states and moves numbered
-    # apart: a move is one per placement, then one per distinct move key
-    state_id: dict[int, int] = {}   # state key -> state id
+    # apart: a state is one per orbit, a move one per placement, then one
+    # per distinct move key
+    state_id: dict[int, int] = {}   # raw or canonical state key -> state id
     move_id: dict[int, int] = {}    # move key c2 << n | S & free[c2] -> move id
     into: list[list[int]] = []      # into[s]: the moves state s is a branch of
     need: list[int] = []            # need[a]: move a's branches not yet won
     makers: list[list[int]] = []    # makers[a]: the states that make move a
     stack = []
+    orbits = _orbits(g, k)
+    if orbits:
+        base, least = orbits
 
     def intern(c2, piece):
         key = c2 << n | piece
         sid = state_id.get(key)
         if sid is None:
-            if len(state_id) >= budget:
-                raise TooLargeError(
-                    f"candidate-set space exceeds budget {budget}", partial=None
-                )
-            sid = state_id[key] = len(into)
-            into.append([])
-            stack.append((sid, key))
+            sid = state_id[key] = orbit_state(c2, piece) if orbits else new_state(key)
+        return sid
+
+    def orbit_state(c2, piece):
+        # a raw key met first: the state is its orbit's, under the
+        # canonical key
+        key = base[c2] | least[c2](piece)
+        sid = state_id.get(key)
+        if sid is None:
+            sid = state_id[key] = new_state(key)
+        return sid
+
+    def new_state(key):
+        if len(into) >= budget:
+            raise TooLargeError(f"candidate-set space exceeds budget {budget}", partial=None)
+        sid = len(into)
+        into.append([])
+        stack.append((sid, key))
         return sid
 
     def add_move(branches, up):
@@ -688,7 +816,7 @@ def limited_capture_solve(
     # the placements, moves 0..C-1 with no makers, are interned before any
     # step table is built, so an over-budget start builds none
     for ci in range(len(cfgs)):
-        add_move([intern(ci, p) for p in split(full & ~occ[ci], sights[ci])], [])
+        add_move({intern(ci, p) for p in split(full & ~occ[ci], sights[ci])}, [])
     succs = _succs(g, k)
     lo, hi, h = _spread(g)
     low = (1 << h) - 1
@@ -741,7 +869,7 @@ def limited_capture_solve(
     return LimitedCaptureResult(
         k=k, l=l, capture=best is not None, capture_time=best,
         placement=None if best is None else cfgs[times.index(best)],
-        states=len(state_id),
+        states=len(into),
     )
 
 

@@ -126,14 +126,15 @@ def test_step_tables_built_on_first_expansion(monkeypatch):
 
 def test_budget_binds_before_step_tables():
     # the 21 placements of two searchers on C6 alone pass a budget of 10,
-    # so both searches refuse before they build a step or spread table
+    # and their 4 orbit states (searchers 0, 1, 2 or 3 apart) one of 3, so
+    # both searches refuse before they build a step or spread table
     g = cycle(6)
     late = {solvers._succs.__wrapped__, solvers._succ_bits.__wrapped__,
             solvers._spread.__wrapped__}
     for call, msg in (
         (lambda: max_clean(g, 2, 0, state_budget=10), "state budget 10 exhausted (visited 21)"),
-        (lambda: limited_capture_solve(g, 2, 0, state_budget=10),
-         "candidate-set space exceeds budget 10"),
+        (lambda: limited_capture_solve(g, 2, 0, state_budget=3),
+         "candidate-set space exceeds budget 3"),
     ):
         with pytest.raises(TooLargeError, match=re.escape(msg)):
             call()
@@ -286,18 +287,19 @@ def test_oversize_and_disconnected_rejected():
         seeing_number(cycle(5), -1)
 
 
-# every engine: (call, player, radius kind, vertex cap, message at budget 10)
+# every engine: (call, player, radius kind, vertex cap, message at budget 4;
+# limited capture on C5 with two searchers of sight 0 has 5 orbit states)
 _ENGINES = {
     "solve_cleaning": (lambda g, k, r, b: solve_cleaning(g, k, r, state_budget=b),
-                       "searcher", "sight", 26, "state budget 10 exhausted (visited 15)"),
+                       "searcher", "sight", 26, "state budget 4 exhausted (visited 15)"),
     "pursuit_solve": (lambda g, k, r, b: pursuit_solve(g, k, r, state_budget=b),
-                      "pursuer", "capture", 64, "pursuit space 2*15*5 exceeds budget 10"),
+                      "pursuer", "capture", 64, "pursuit space 2*15*5 exceeds budget 4"),
     "limited_capture_solve": (lambda g, k, r, b: limited_capture_solve(g, k, r, state_budget=b),
-                              "searcher", "sight", 26, "candidate-set space exceeds budget 10"),
+                              "searcher", "sight", 26, "candidate-set space exceeds budget 4"),
     "expected_time": (lambda g, k, r, b: expected_time(g, k, r, state_budget=b),
-                      "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 10"),
+                      "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 4"),
     "monte_carlo": (lambda g, k, r, b: monte_carlo(g, k, r, trials=10, state_budget=b),
-                    "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 10"),
+                    "searcher", "capture", 64, "chain space 2*15*5 exceeds budget 4"),
 }
 
 
@@ -315,7 +317,7 @@ def test_front_door_errors(engine, case):
                   f"solver handles up to {cap} vertices, got {cap + 1}"),
         "disconnected": ((Graph.from_edges(4, [(0, 1), (2, 3)]), 2, 0, 10), BadParamError,
                          "solver expects a connected graph"),
-        "budget": ((cycle(5), 2, 0, 10), TooLargeError, budget_msg),
+        "budget": ((cycle(5), 2, 0, 4), TooLargeError, budget_msg),
     }[case]
     with pytest.raises(err) as e:
         call(*args)
@@ -423,6 +425,51 @@ def test_limited_capture_matches_oracle(small_connected):
         assert (got.capture, got.capture_time, got.placement) == want, (g.edges(), k, l, obs)
 
 
+def test_limited_capture_orbits_match_oracle():
+    # graphs with large automorphism groups, where most states share an
+    # orbit: the orbit solve against the referee's plain-set rounds
+    cube = Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                                if u < u ^ 1 << b])
+    graphs = [from_spec(spec) for spec in ("complete:4", "complete:5", "star:4", "cycle:6",
+                                           "cycle:7", "cycle:8", "petersen")] + [cube]
+    assert [len(solvers._group(g)) for g in graphs] == [24, 120, 24, 12, 14, 16, 120, 48]
+    states = []
+    for g in graphs:
+        states.append(0)
+        for k, l, obs in itertools.product((1, 2), (0, 1), (True, False)):
+            got = limited_capture_solve(g, k, l, observe_after_cop_move=obs)
+            want = oracles.brute_limited_capture_rounds(g, k, l, observe_after_cop_move=obs)
+            assert (got.capture, got.capture_time, got.placement) == want, (g.edges(), k, l, obs)
+            states[-1] += got.states
+    # per graph, the orbits under the whole group of the states a solve
+    # without orbits reaches (counted apart, from its interned keys)
+    assert states == [12, 12, 62, 46, 60, 80, 56, 48]
+
+
+def test_limited_capture_group_past_cap(monkeypatch):
+    # complete:26 and star:25 have 26! and 25! automorphisms: the walk
+    # stops one past the cap and the solve uses the trivial group, so it
+    # counts every state, as without orbits
+    pulled = []
+
+    def walk(rows, n):
+        for p in walk_automorphisms(rows, n):
+            pulled.append(p)
+            yield p
+
+    walk_automorphisms = solvers._walk_automorphisms
+    monkeypatch.setattr(solvers, "_walk_automorphisms", walk)
+    for g, states in ((complete(26), 650), (star(25), 675)):
+        pulled.clear()
+        res = limited_capture_solve(g, 1, 1)
+        assert (res.capture, res.capture_time, res.placement, res.states) == (True, 1, (0,), states)
+        assert len(pulled) == solvers._AUT_CAP + 1 and solvers._group(g) == ()
+    # Heawood's 336 and Q4's 384 automorphisms fall under the cap
+    q4 = Graph.from_edges(16, [(u, u ^ 1 << b) for u in range(16) for b in range(4)
+                               if u < u ^ 1 << b])
+    assert [len(solvers._group(g)) for g in (heawood(), q4)] == [336, 384]
+
+
 def test_limited_capture_c4():
     assert capture_possible_limited(cycle(4), 1, 1) is False
     assert capture_possible_limited(cycle(4), 2, 1) is True
@@ -443,18 +490,20 @@ def test_full_sight_degenerates_to_pursuit():
 
 
 @pytest.mark.parametrize("spec, k, observe, want", [
-    ("grid:3:4", 2, True, (3, 1538, (0, 9))), ("grid:3:4", 2, False, (3, 2152, (0, 9))),
-    ("grid:3:5", 2, True, (4, 4244, (0, 11))), ("grid:3:5", 2, False, (4, 7524, (0, 11))),
-    ("grid:4:4", 2, True, (5, 5708, (0, 2))), ("grid:4:4", 2, False, (7, 11178, (1, 7))),
-    ("petersen", 2, True, (None, 745, None)), ("petersen", 3, True, (1, 2170, (0, 2, 6))),
-    ("heawood", 2, True, (None, 4529, None)),
+    ("grid:3:4", 2, True, (3, 409, (0, 9))), ("grid:3:4", 2, False, (3, 573, (0, 9))),
+    ("grid:3:5", 2, True, (4, 1138, (0, 11))), ("grid:3:5", 2, False, (4, 1993, (0, 11))),
+    ("grid:4:4", 2, True, (5, 758, (0, 2))), ("grid:4:4", 2, False, (7, 1461, (1, 7))),
+    ("petersen", 2, True, (None, 16, None)), ("petersen", 3, True, (1, 33, (0, 2, 6))),
+    ("heawood", 2, True, (None, 41, None)), ("heawood", 3, True, (3, 104, (0, 0, 2))),
+    ("grid:4:4", 3, True, (3, 3391, (0, 1, 7))),
 ], ids=[f"{g}-{mode}" for g in ("3x4", "3x5", "4x4") for mode in ("observe", "no-observe")]
-    + ["petersen-k2", "petersen-k3", "heawood-k2"])
+    + ["petersen-k2", "petersen-k3", "heawood-k2", "heawood-k3", "4x4-k3"])
 def test_limited_capture_grid_pins(spec, k, observe, want):
     # (capture_time, states, placement) with searchers of sight 1 (grids
-    # row-major): states and placement pin the AND-OR graph's interning
-    # order, not only the game value; a None time is no capture, which
-    # still explores every reachable state
+    # row-major): states count the orbit states under Aut(G), and with the
+    # placement they pin the AND-OR graph's interning order, not only the
+    # game value; a None time is no capture, which still explores every
+    # reachable state
     res = limited_capture_solve(from_spec(spec), k, 1, observe_after_cop_move=observe)
     assert res.capture == (want[0] is not None)
     assert (res.capture_time, res.states, res.placement) == want
