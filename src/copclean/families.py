@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import numpy as np
@@ -96,15 +97,12 @@ def random_tree(n: int, seed: int) -> Graph:
     check_vertex_cap(n)
     if n == 1:
         return Graph.from_edges(1, [], name=f"tree:{n}:{seed}")
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)], name=f"tree:{n}:{seed}")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:
         deg[x] += 1
     edges = []
-    import heapq
     leaves = [v for v in range(n) if deg[v] == 1]
     heapq.heapify(leaves)
     for x in seq:

@@ -517,12 +517,6 @@ def parse_edge_list(text: str, name: str | None = None) -> Graph:
     return Graph.from_edges(top + 1, edges, name=name)
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [f"# n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 # -- canonical forms and enumeration ----------------------------------------
 
 
@@ -647,20 +641,6 @@ def _walk_automorphisms(rows: tuple[int, ...], n: int) -> Iterator[tuple[int, ..
     return extend(0, 0)
 
 
-def _automorphisms(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Every automorphism of the graph with bit rows ``rows``, as a tuple
-    ``p`` with ``p[i]`` the image of vertex i, in ascending order (so the
-    identity first).
-
-    Enumeration reads the whole group of graphs on at most 8 vertices.
-    Limited-sight capture instead walks ``_walk_automorphisms`` and stops
-    past ``solvers._AUT_CAP`` elements, as complete:26 and star:25 have 26!
-    and 25!: past the cap it uses the trivial group.  Any subgroup gives a
-    correct quotient of the game, but the first elements found need not
-    form one."""
-    return sorted(_walk_automorphisms(rows, n))
-
-
 ENUM_MAX_N = 9
 _levels_cache: dict[int, tuple[int, ...]] = {}
 
@@ -703,6 +683,7 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
         return _levels_cache[1]
     parents = _all_graph_keys(t - 1)
     new = t - 1
+    ident = tuple(range(new))
     seen = set()
     for pkey in parents:
         prows = _key_rows(pkey, new)
@@ -712,7 +693,7 @@ def _all_graph_keys(t: int) -> tuple[int, ...]:
             at_deg[d] |= 1 << i
         top = max(pdeg)
         # each non-identity automorphism as one image bit per vertex
-        images = [[1 << w for w in p] for p in _automorphisms(prows, new)[1:]]
+        images = [[1 << w for w in p] for p in _walk_automorphisms(prows, new) if p != ident]
         marked = set()   # masks in the orbit of a mask already met
         for mask in range(1 << new):
             d = mask.bit_count()

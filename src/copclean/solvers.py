@@ -44,21 +44,24 @@ Three engines share this module:
   Appl. Math. 2020).  An automorphism σ maps the game onto itself: the
   moves of ``(σc, σS)`` and their branches are the images of those of
   ``(c, S)``, so by induction over the rounds the two states are won in
-  the same round, or neither is.  A state's canonical form is the least
-  ``(σc, σS)`` over the σ that send c to the least rank of its orbit;
-  every branch is interned under its canonical form, and only canonical
-  states are expanded.  Moves keep their raw keys, so they are shared as
-  before, and a move's branch set becomes the set of its branches'
-  canonical forms.  A canonical form has the value and round count of
-  the branch it replaces, and merging two branches of one orbit changes
-  neither whether every branch is won nor the most rounds of any, so
-  every move and state keeps its value and round count in the least
-  fixpoint.  Each placement stays its own move, so ``placement`` keeps its
-  first-on-ties rule.  A dict from raw key to state id sits in front of
-  the canonical keys, so each raw key is canonicalised once; the state
-  budget counts canonical states.  A graph whose group is trivial, or
-  larger than ``_AUT_CAP`` elements, keeps the raw keys: the trivial group
-  is a subgroup, and any subgroup gives an exact quotient.
+  the same round, or neither is.  A state's canonical form is ``(c0,
+  σS)``, c0 the least rank of c's orbit and σS the least image of S over
+  c's coset, the σ with σc = c0; every branch is interned under its
+  canonical form, and only canonical states are expanded.  Moves keep
+  their raw keys, so they are shared as before, and a move's branch set
+  becomes the set of its branches' canonical forms.  A canonical form
+  has the value and round count of the branch it replaces, and merging
+  two branches of one orbit changes neither whether every branch is won
+  nor the most rounds of any, so every move and state keeps its value
+  and round count in the least fixpoint.  Each placement stays its own
+  move, so ``placement`` keeps its first-on-ties rule.  One intern path
+  serves every branch: a raw key met first is canonicalised once, its
+  canonical key looked up or given a new state, and the raw key recorded
+  against that state.  A graph whose group is trivial, or larger than
+  ``_AUT_CAP`` elements, keeps the raw keys, each its own canonical key:
+  the trivial group is a subgroup, and any subgroup gives an exact
+  quotient.  The state budget bounds states and moves together, as both
+  are stored; ``states`` counts the orbit states.
 
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
@@ -292,7 +295,11 @@ def _group(g: Graph):
     group is a subgroup, so its quotient is still exact).  ``tables[j][x]``
     is the image under σ of the vertices ``_CHUNK*j + i`` for the set bits
     i of x, so the image σS of a vertex mask S is the sum over the chunks j
-    of ``tables[j][S >> _CHUNK*j & (1 << _CHUNK) - 1]``."""
+    of ``tables[j][S >> _CHUNK*j & (1 << _CHUNK) - 1]``.
+
+    The walk stops past ``_AUT_CAP`` elements, as complete:26 and star:25
+    have 26! and 25!.  The first elements found need not form a subgroup,
+    so past the cap the group is the trivial one."""
     n = g.n
     auts = list(itertools.islice(_walk_automorphisms(g.bit_rows, n), _AUT_CAP + 1))
     if not 1 < len(auts) <= _AUT_CAP:
@@ -310,20 +317,14 @@ def _group(g: Graph):
 @_per_graph
 def _orbits(g: Graph, k: int):
     """The orbits of the k-searcher configs under ``_group(g)``, or ``()``
-    when that is empty: ``(base, least)`` with ``base[c]``, the least rank
-    in config c's orbit shifted past the n mask bits, and ``least[c]``,
-    which maps a vertex mask S to the least σS over the σ that send c to
-    that rank.  So ``base[c] | least[c](S)`` is the canonical key of the
-    state (c, S): the same for every state of its orbit.
+    when that is empty: ``(base, least)``, so that ``base[c] | least[c](S)``
+    is the canonical key of the state (c, S), the same for every state of
+    its orbit.
 
     Configs are met in rank order, so the first of an orbit is its least,
-    c0, and as σ runs over the group its preimage ``σ^-1 c0`` runs over
-    the orbit: config d gets σ exactly when σd = c0.  Those σ are ``sτ``
-    for any one of them, τ, and every s fixing c0.  On at most ``_CHUNK``
-    vertices a mask is one chunk, so ``least[d]`` looks S up in τ's table,
-    then τS in the table of each s; when only the identity fixes c0, the
-    first lookup is all.  A table of the least image per config would cost
-    256 minima each, more than the solves of small graphs ask for."""
+    c0.  ``base[d]`` is c0 shifted past the n mask bits, and ``least[d]``
+    maps S to its least image over d's coset, the σ with σd = c0: on at
+    most ``_CHUNK`` vertices, one table lookup per σ."""
     group = _group(g)
     if not group:
         return ()
@@ -343,10 +344,9 @@ def _orbits(g: Graph, k: int):
             return min([sum(map(at, tables, parts)) for tables in coset])
         return image
 
-    def one_chunk(stab, tau):
+    def one_chunk(firsts):
         def image(mask):
-            x = tau[mask]
-            return min([t[x] for t in stab])
+            return min([t[mask] for t in firsts])
         return image
 
     for c0, cfg in enumerate(cfgs):
@@ -354,15 +354,14 @@ def _orbits(g: Graph, k: int):
             cosets = {}
             for inv, tables in group:
                 cosets.setdefault(key_rank[sum(1 << inv[v] * w for v in cfg)], []).append(tables)
-            stab = [tables[0] for tables in cosets[c0]]   # on one chunk, the s
             for d, coset in cosets.items():
                 base[d] = c0 << n
                 if n > _CHUNK:
                     least[d] = chunked(coset)
-                elif len(stab) == 1:
+                elif len(coset) == 1:
                     least[d] = coset[0][0].__getitem__
                 else:
-                    least[d] = one_chunk(stab, coset[0][0])
+                    least[d] = one_chunk([tables[0] for tables in coset])
     return tuple(base), tuple(least)
 
 
@@ -782,31 +781,28 @@ def limited_capture_solve(
         base, least = orbits
 
     def intern(c2, piece):
+        # a raw key met first is its orbit's state, under the canonical key
         key = c2 << n | piece
         sid = state_id.get(key)
         if sid is None:
-            sid = state_id[key] = orbit_state(c2, piece) if orbits else new_state(key)
-        return sid
-
-    def orbit_state(c2, piece):
-        # a raw key met first: the state is its orbit's, under the
-        # canonical key
-        key = base[c2] | least[c2](piece)
-        sid = state_id.get(key)
-        if sid is None:
-            sid = state_id[key] = new_state(key)
-        return sid
-
-    def new_state(key):
-        if len(into) >= budget:
-            raise TooLargeError(f"candidate-set space exceeds budget {budget}", partial=None)
-        sid = len(into)
-        into.append([])
-        stack.append((sid, key))
+            canon = base[c2] | least[c2](piece) if orbits else key
+            sid = state_id.get(canon)
+            if sid is None:
+                sid = len(into)
+                if sid + len(need) >= budget:
+                    raise TooLargeError(f"candidate-set space exceeds budget {budget}",
+                                        partial=None)
+                state_id[canon] = sid
+                into.append([])
+                stack.append((sid, canon))
+            state_id[key] = sid
         return sid
 
     def add_move(branches, up):
+        # the budget bounds what is stored: states and moves alike
         a = len(need)
+        if a + len(into) >= budget:
+            raise TooLargeError(f"candidate-set space exceeds budget {budget}", partial=None)
         need.append(len(branches))
         makers.append(up)
         for b in branches:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -11,7 +12,7 @@ from copclean.cleaning import run_script
 from copclean.errors import BadParamError, TooLargeError
 from copclean.families import (complete, cycle, from_spec, grid, heawood, path, random_tree,
                                spider, star)
-from copclean.graphs import Graph, enumerate_connected, metrics
+from copclean.graphs import Graph, _connected_graph6, enumerate_connected, metrics, parse_graph6
 from copclean.solvers import (
     _config_tables,
     _joint_moves,
@@ -444,6 +445,63 @@ def test_limited_capture_orbits_match_oracle():
     # per graph, the orbits under the whole group of the states a solve
     # without orbits reaches (counted apart, from its interned keys)
     assert states == [12, 12, 62, 46, 60, 80, 56, 48]
+
+
+def test_orbit_canonical_key_matches_brute_force():
+    # base[c] | least[c](S) against the least (rank(σc), σS) over the σ
+    # that minimise rank(σc), with σ from the referee's automorphisms: C8
+    # and the 3-cube (one chunk) over every mask, k=3 on C8 reaching
+    # configs only the identity fixes; Petersen, labelled by the 2-subsets
+    # of {0..4} (adjacent when disjoint) so that S5 gives its group, on two
+    # chunks over a fixed sample of masks
+    cube = Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                                if u < u ^ 1 << b])
+    pairs = list(itertools.combinations(range(5), 2))
+    petersen = Graph.from_edges(10, [(i, j) for i, j in itertools.combinations(range(10), 2)
+                                     if not set(pairs[i]) & set(pairs[j])])
+    s5 = [tuple(pairs.index(tuple(sorted(p[a] for a in pair))) for pair in pairs)
+          for p in oracles.brute_automorphisms(complete(5))]
+    assert sorted(s5) == sorted(set(s5)) and len(solvers._group(petersen)) == 120
+    sample = random.Random(0).sample(range(1 << 10), 100)
+    for g, auts, ks, masks in ((cycle(8), oracles.brute_automorphisms(cycle(8)), (1, 2, 3), None),
+                               (cube, oracles.brute_automorphisms(cube), (1, 2), None),
+                               (petersen, s5, (1, 2), sample)):
+        n = g.n
+        for k in ks:
+            cfgs = solvers._configs(g, k)[0]
+            base, least = solvers._orbits(g, k)
+            for c, cfg in enumerate(cfgs):
+                ranks = [cfgs.index(tuple(sorted(p[v] for v in cfg))) for p in auts]
+                coset = [p for p, r in zip(auts, ranks) if r == min(ranks)]
+                for S in masks or range(1 << n):
+                    want = min(ranks) << n | min(sum(1 << p[v] for v in range(n) if S >> v & 1)
+                                                 for p in coset)
+                    assert base[c] | least[c](S) == want, (n, k, cfg, S)
+
+
+def test_limited_capture_census_digest():
+    # every connected class with n <= 6, k and l in {1, 2}, both observe
+    # modes: 1,144 solves pinned by the SHA-256 of their records
+    records = []
+    for n in range(1, 7):
+        for g6 in _connected_graph6(n):
+            g = parse_graph6(g6)
+            for k, l, obs in itertools.product((1, 2), (1, 2), (True, False)):
+                r = limited_capture_solve(g, k, l, observe_after_cop_move=obs)
+                records.append([g6, k, l, obs, r.capture, r.capture_time, r.placement, r.states])
+    assert len(records) == 1144
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == (
+        "5d87f1832bd726c783215e414487ed07897c5ad34e873853725c346c2079a3ed")
+
+
+def test_limited_capture_budget_counts_moves():
+    # the 4x4 grid with three sight-1 searchers interns 3,391 orbit states
+    # but 70,114 moves: the budget counts both
+    g = grid(4, 4)
+    with pytest.raises(TooLargeError, match="candidate-set space exceeds budget 10000"):
+        limited_capture_solve(g, 3, 1, state_budget=10_000)
+    res = limited_capture_solve(g, 3, 1, state_budget=80_000)
+    assert (res.capture_time, res.states, res.placement) == (3, 3391, (0, 1, 7))
 
 
 def test_limited_capture_group_past_cap(monkeypatch):
