@@ -23,7 +23,7 @@ that checks this one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -66,10 +66,7 @@ class StrategyScript:
     turns: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"l": self.l, "place": list(self.place), "turns": [list(t) for t in self.turns]},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "StrategyScript":

@@ -19,6 +19,7 @@ import multiprocessing
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 
 from . import construction as cons
 from . import families, solvers, stochastic
@@ -76,7 +77,7 @@ def _load_graph(args) -> Graph:
         line = line.strip()
         if line:
             return parse_graph6(line)
-    raise CopcleanError("no graph6 record found in input file")
+    raise BadParamError("no graph6 record found in input file")
 
 
 # -- simple commands -------------------------------------------------------------
@@ -106,7 +107,7 @@ def _check_enum_range(n_min: int, n_max: int, big: bool) -> None:
     if n_min < 1 or n_max > ENUM_MAX_N:
         raise UnsupportedSizeError(f"enumeration supported for 1 <= n <= {ENUM_MAX_N}")
     if n_max == ENUM_MAX_N and not big:
-        raise CopcleanError(f"n={ENUM_MAX_N} enumeration takes a while; pass --big to confirm")
+        raise BadParamError(f"n={ENUM_MAX_N} enumeration takes a while; pass --big to confirm")
 
 
 def cmd_gen(args) -> int:
@@ -144,7 +145,7 @@ def cmd_construct(args) -> int:
                 tuple(int(x) for x in chunk.split(",")) for chunk in args.partition.split(";")
             )
         except ValueError:
-            raise CopcleanError(f"bad partition syntax {args.partition!r}") from None
+            raise BadParamError(f"bad partition syntax {args.partition!r}") from None
     spec = cons.ConstructionSpec(k=args.k, m=args.m, partition=partition)
     t0 = time.perf_counter()
     cg = cons.build_construction(spec, allow_bad_spacing=args.allow_bad_spacing)
@@ -206,14 +207,9 @@ def cmd_solve(args) -> int:
         out.update({"rho": args.rho, "value": solvers.reach_number(g, args.rho)})
     elif q == "capture-limited":
         res = solvers.limited_capture_solve(g, args.k, args.l)
-        out.update({
-            "l": args.l, "k": args.k, "capture": res.capture,
-            "capture_time": res.capture_time,
-            "placement": None if res.placement is None else list(res.placement),
-            "states": res.states,
-        })
-    else:
-        raise CopcleanError(f"unknown question {q!r}")
+        out.update(asdict(res))
+        if res.placement is not None:
+            out["placement"] = list(res.placement)
     if wit is not None:
         out["witness"] = json.loads(wit.to_json())
     _emit(out, args.json)
@@ -380,7 +376,7 @@ def cmd_sweep(args) -> int:
     _check_enum_range(args.n_min, args.n_max, args.big)
     _check_sweep_params(args)
     if args.check not in SWEEP_CHECKS:
-        raise CopcleanError(f"unknown check {args.check!r}; pick from {sorted(SWEEP_CHECKS)}")
+        raise BadParamError(f"unknown check {args.check!r}; pick from {sorted(SWEEP_CHECKS)}")
     params = {"l": args.l, "k": args.k, "r": args.r, "rho": args.rho}
     bad = 0
     total = 0
@@ -544,7 +540,7 @@ VERIFY_SUITES = {
 
 def cmd_verify(args) -> int:
     if args.suite not in VERIFY_SUITES:
-        raise CopcleanError(f"unknown suite {args.suite!r}; pick from {sorted(VERIFY_SUITES)}")
+        raise BadParamError(f"unknown suite {args.suite!r}; pick from {sorted(VERIFY_SUITES)}")
     if args.jobs < 1:
         raise BadParamError("--jobs must be >= 1")
     t0 = time.perf_counter()

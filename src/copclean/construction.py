@@ -26,7 +26,7 @@ actual adjacency, exhaustively via translation classes or by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -206,15 +206,7 @@ class BlockingReport:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "checked_pairs": self.checked_pairs,
-            "max_blocked": self.max_blocked,
-            "passed": self.passed,
-            "violations": self.violations,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _blocked_types(cg: ConstructionGraph, evader: int, searcher: int, searcher_adj) -> list[int]:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries a stable machine-readable ``code`` so the CLI can map
-failures to exit codes and JSON error records without string matching.
+failures to exit codes and JSON error records without string matching.  The
+CLI raises a subclass of ``CopcleanError`` for every bad input, so no JSON
+error record reads the bare ``ERROR``.
 """
 
 

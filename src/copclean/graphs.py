@@ -27,7 +27,7 @@ the class's graph6 record.  The enumerator streams those records, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -313,17 +313,11 @@ class GraphMetrics:
     connected: bool
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "m": self.m,
-            "l": self.l,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "max_l_degree": self.max_l_degree,
-            "girth": "ACYCLIC" if self.girth is None else self.girth,
-            "diameter": "DISCONNECTED" if self.diameter is None else self.diameter,
-            "connected": self.connected,
-        }
+        d = asdict(self)
+        if self.girth is None:
+            d["girth"] = "ACYCLIC"
+        if self.diameter is None:
+            d["diameter"] = "DISCONNECTED"
         return d
 
 

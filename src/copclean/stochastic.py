@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -92,18 +92,12 @@ class ExpectedTimeResult:
     states: int
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k": self.k,
-            "rho": self.rho,
-            "move_model": self.move_model,
-            "placement_policy": self.placement_policy,
-            "value": "INFINITE" if math.isinf(self.value) else self.value,
-            "placement": None if self.placement is None else list(self.placement),
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "states": self.states,
-        }
+        d = asdict(self)
+        if math.isinf(self.value):
+            d["value"] = "INFINITE"
+        if self.placement is not None:
+            d["placement"] = list(self.placement)
+        return d
 
 
 class _RandomPursuit:
@@ -355,15 +349,7 @@ class MonteCarloResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "captured": self.captured,
-            "capture_frequency": self.capture_frequency,
-            "mean_time": self.mean_time,
-            "stderr": self.stderr,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def monte_carlo(

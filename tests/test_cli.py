@@ -311,8 +311,10 @@ def test_graph_above_edge_cap(capsys, tmp_path, source):
     assert peak < 8 << 20
 
 
-# SHA-256 of the stdout; none of these prints a float, so the bytes do not
-# depend on the BLAS build or thread count
+# SHA-256 of the stdout.  Some of these print floats, but none comes from a
+# LAPACK solve: the belief-mode values are integer capture times, and every
+# mc trial on K5 with five searchers ends at placement, so nothing is drawn.
+# The bytes do not depend on the numpy version or the BLAS thread count
 GOLDEN = {
     ("sweep", "--n-max", "6", "--check", "chain", "--json"):
         "29473bc2335d26a29aaeb498ef575dc53068bbbc27add10735b0817e58b6b034",
@@ -322,6 +324,26 @@ GOLDEN = {
         "17d4c0b2f425f5decf06fad04e3e069447ef096f1b20c5bcf69df0341503c0e1",
     ("verify", "--suite", "single-cop-bound", "--jobs", "2", "--json"):
         "3d99a0d884c40c6463798a99e2dfd08977fb934b9c89974c74dcc63fcf1e7026",
+    ("metrics", "--family", "petersen", "--json"):
+        "2ee66dbaa3e273fc64834645a93f1305b4c87c892c41458c22b3cdacead65a0a",
+    ("metrics", "--family", "tree:9:1", "--l", "2"):
+        "80a81c2477e32d45822ecd6254a49ad9ec53b8618e652b061376ec5c41f41845",
+    ("expected-time", "--family", "cycle:5", "--k", "2", "--mode", "belief", "--l", "0"):
+        "c5b950d27f62028e9d19ec1634a4cb093a222845612bd631f0388220ad80d00e",
+    ("expected-time", "--family", "cycle:5", "--k", "1", "--mode", "belief", "--l", "0",
+     "--json"):
+        "0541f583daefadef3f17b761df742a1701bd2f0cd752fdaee64a689d17a83dff",
+    ("mc", "--family", "complete:5", "--k", "5", "--trials", "1000", "--seed", "3"):
+        "9a12cf08d2f71d8b28a6ce5ac9a1e8bccf104a8131c780b056db2906729eca9f",
+    ("construct", "--k", "1", "--m", "2", "--check", "exhaustive", "--json"):
+        "20221a31d1fcb2830d9cf39cd96a196f31ba2ee22119b8229c92f36205b6cb7d",
+    ("solve", "capture-limited", "--family", "grid:3:4", "--k", "2", "--l", "1"):
+        "54e88ba37f624fcdb788fedb9a1b1a2652252efe950871cb1565d3c8d0c9032f",
+    ("solve", "capture-limited", "--family", "petersen", "--k", "2", "--l", "1", "--json"):
+        "0ce4aaec13a6fec58c657225dd38d413f22809dcabdc13c352ea5500fe5d3718",
+    ("solve", "maxclean", "--family", "cycle:10", "--k", "1", "--l", "1", "--witness",
+     "--json"):
+        "298b0988bedacdcc010e1881954859053a7c4b92e8b38008c7772691984409ac",
 }
 
 
@@ -349,6 +371,21 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "everything")
     assert code == 2
     assert "everything" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("metrics", "--in", "{empty}"),
+    ("gen", "--n", "9"),
+    ("construct", "--k", "1", "--m", "2", "--partition", "0;x"),
+    ("sweep", "--n-max", "4", "--check", "everything"),
+    ("verify", "--suite", "everything"),
+], ids=lambda argv: argv[0])
+def test_bad_input_names_its_error(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n\n")
+    code, out, err = run(capsys, *(a.format(empty=empty) for a in argv))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BAD_PARAM"
 
 
 def test_usage_errors(capsys):
