@@ -143,7 +143,7 @@ def build_construction(spec: ConstructionSpec, allow_bad_spacing: bool = False) 
     if not allow_bad_spacing and not spacing_ok(partition):
         raise BadParamError(
             "partition violates the spacing rule (a class holds q with q+1 or q+2); "
-            "pass allow_bad_spacing=True to build it anyway"
+            "pass allow_bad_spacing=True (at the CLI, --allow-bad-spacing) to build it anyway"
         )
     size = 1 << m
     hub0 = nblocks * size

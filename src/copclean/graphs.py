@@ -429,20 +429,14 @@ def parse_graph6(s: str | bytes, name: str | None = None) -> Graph:
     if bad:
         raise Graph6Error("INVALID_CHAR", f"byte {bad[0]} outside graph6 range 63..126")
     if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise Graph6Error("TRUNCATED", "size prefix cut short")
-            n = 0
-            for b in data[2:8]:
-                n = n << 6 | (b - 63)
-            body = data[8:]
-        else:
-            if len(data) < 4:
-                raise Graph6Error("TRUNCATED", "size prefix cut short")
-            n = 0
-            for b in data[1:4]:
-                n = n << 6 | (b - 63)
-            body = data[4:]
+        # "~" then 3 size digits, or "~~" then 6
+        start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+        if len(data) < end:
+            raise Graph6Error("TRUNCATED", "size prefix cut short")
+        n = 0
+        for b in data[start:end]:
+            n = n << 6 | (b - 63)
+        body = data[end:]
     else:
         n = data[0] - 63
         body = data[1:]

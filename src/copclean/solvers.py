@@ -9,11 +9,11 @@ Three engines share this module:
   ``inference_number`` are this search with ``stop_at`` set, one call per
   searcher count; it is breadth first, so their witnesses are shortest plays.
   Its inner loop, once per successor, reads one keep mask per config (the
-  vertices the config leaves unseen, built once per call) and does the
-  spread's two table lookups inline.  A successor depends only on the gas
-  mask and the config moved to, so one done mask per gas mask (the config
-  ranks already expanded from it) lets a state skip every move an earlier
-  state with the same gas has evaluated.
+  vertices the config leaves unseen, ``_config_tables``' unseen mask) and
+  does the spread's two table lookups inline.  A successor depends only on
+  the gas mask and the config moved to, so one done mask per gas mask (the
+  config ranks already expanded from it) lets a state skip every move an
+  earlier state with the same gas has evaluated.
 * ``pursuit_solve`` is classic perfect-information pursuit with a capture
   radius, solved by backward induction over sets of evader positions: one
   vertex mask per searcher configuration and side to move, grown round by
@@ -66,15 +66,19 @@ Three engines share this module:
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
 connectivity, in that order, then resolves the state budget and reads one
-shared bitmask layer: ``_config_tables`` enumerates the searcher
-configurations with their sight masks and closed neighbourhoods.  Every
-ball on bit rows, a sight mask or the one-step closure of an evader mask,
-comes from ``graphs._ball``.  The tables a search reads only once it
-expands a state are built on first read: ``_succs``, the successor ranks
-of each configuration, with ``_succ_bits``, the same ranks as one mask,
-and ``_spread``, the tables of the neighbour union of a vertex mask (the
-gas spread of the cleaning game, the evader's step in limited-sight
-capture), which both engines look up inline.  ``_spread`` serves only
+shared bitmask layer, where every per-configuration table is built and no
+engine derives one again: ``_config_tables`` enumerates the searcher
+configurations with their sight masks, the unseen masks that are their
+complements, and the closed neighbourhoods.  Every ball on bit rows, a
+sight mask or the one-step closure of an evader mask, comes from
+``graphs._ball``.  The tables that not every call reads are built on
+first read: ``_keys``, the one multiset key of a configuration and the
+one key-to-rank map, which only ``_succs``, ``_joint_moves`` and
+``_orbits`` read; ``_succs``, the successor ranks of each configuration,
+with ``_succ_bits``, the same ranks as one mask; and ``_spread``, the
+tables of the neighbour union of a vertex mask (the gas spread of the
+cleaning game, the evader's step in limited-sight capture), which both
+engines look up inline.  ``_spread`` serves only
 these two engines, whose inner loops it speeds up: its tables hold
 ``2^ceil(n/2)`` entries, affordable at their cap of 26 vertices but not at
 pursuit's 64.  Both searches ask for the step tables only once their
@@ -89,11 +93,12 @@ passed in (by identity, with a strong reference) and what was built for it.
 A threshold's loop over k, or a sweep asking several questions of one
 class, builds each table once.  A call on another graph empties the slot,
 so the tables of at most one graph are retained: for it, the spread tables,
-one set of configurations and, once read, successor tables per searcher
-count k, one sight table per (k, l) asked, and whether the graph is
-connected; for limited capture also ``_group``, the automorphisms with
+one set of configurations and, once read, keys and successor tables per
+searcher count k, one sight table per (k, l) asked, and whether the graph
+is connected; for limited capture also ``_group``, the automorphisms with
 their permutation tables, and ``_orbits``, the config orbits per k.  The
-tables are tuples: callers share them, so none may change them.
+tables are tuples, and the key-to-rank map a dict: callers share them, so
+none may change them.
 
 Pursuit needs no game graph: its states are (configuration, vertex)
 pairs, so the won states of one configuration and side to move form one
@@ -198,23 +203,66 @@ def _or_table(vals) -> tuple[int, ...]:
     return tuple(t)
 
 
-def _step_ranks(cfgs, closed, distinct):
-    """Per config, the ranks of the configs one joint step reaches: each
-    searcher moves within its closed neighbourhood.  ``distinct`` gives
-    them ascending without repeats, else one per ``itertools.product``
-    pick (the last searcher fastest).
+@_per_graph
+def _configs(g: Graph, k: int):
+    """Configs (multisets of k vertices) in
+    ``combinations_with_replacement`` order (a config's rank is its index)
+    and ``closed[v]``, v's closed neighbourhood mask.  A config's multiset
+    key and the key-to-rank map live in ``_keys``, its sight and unseen
+    masks in ``_config_tables``."""
+    n = g.n
+    rows = g.bit_rows
+    closed = tuple(rows[v] | 1 << v for v in range(n))
+    return tuple(itertools.combinations_with_replacement(range(n), k)), closed
 
-    A multiset is keyed by the sum of ``1 << v * w`` over its vertices,
-    ``w`` bits per vertex count, so the keys a step reaches are sums of one
-    option per searcher.  Configs come in ``combinations_with_replacement``
-    order, so ``parts[j]``, the sums over the first j searchers, is kept
-    until the j-th vertex changes."""
-    k = len(cfgs[0])
+
+@_per_graph
+def _keys(g: Graph, k: int):
+    """``(bit, opts, rank)``, the one multiset key of the configs: a config's
+    key is the sum of ``bit[v] = 1 << v * w`` over its vertices, ``w =
+    k.bit_length()`` bits per vertex count, and ``rank`` maps each key to
+    its config's rank.  ``opts[v]`` lists the keys of v's closed
+    neighbourhood, ascending, so the keys one joint step reaches are the
+    sums of one option per searcher.  ``rank`` is a dict, and like every
+    table here no caller changes it.  Built on first read: a cleaning
+    search settled at placement never asks for it."""
+    cfgs, closed = _configs(g, k)
     w = k.bit_length()
-    bit = [1 << v * w for v in range(len(closed))]
-    opts = [[bit[u] for u in _mask_bits(m)] for m in closed]
-    key_rank = {sum(bit[v] for v in cfg): i for i, cfg in enumerate(cfgs)}
-    parts = [[0]] + [None] * k
+    bit = tuple(1 << v * w for v in range(g.n))
+    opts = tuple(tuple(bit[u] for u in _mask_bits(m)) for m in closed)
+    return bit, opts, {sum(bit[v] for v in cfg): i for i, cfg in enumerate(cfgs)}
+
+
+@_per_graph
+def _config_tables(g: Graph, k: int, l: int):
+    """``(cfgs, sights, unseen, closed)``: ``_configs`` with ``sights[c]``,
+    the mask the searchers of config c see with sight l, and ``unseen[c]``,
+    the vertices it misses; no engine takes that complement itself."""
+    cfgs, closed = _configs(g, k)
+    rows = g.bit_rows
+    full = (1 << g.n) - 1
+    sight1 = [_ball(rows, 1 << v, l) for v in range(g.n)]
+    sights = []
+    for cfg in cfgs:
+        s = 0
+        for v in cfg:
+            s |= sight1[v]
+        sights.append(s)
+    return cfgs, tuple(sights), tuple(full & ~s for s in sights), closed
+
+
+@_per_graph
+def _succs(g: Graph, k: int):
+    """``succs[c]``: the ranks one joint step from config c reaches,
+    ascending.  Built on first read: a search settled at placement never
+    asks for it.
+
+    Configs come in ``combinations_with_replacement`` order, so
+    ``parts[j]``, the set of key sums over the first j searchers, is kept
+    until the j-th vertex changes."""
+    cfgs = _configs(g, k)[0]
+    _, opts, rank = _keys(g, k)
+    parts = [{0}] + [None] * k
     prev = (-1,) * k
     out = []
     for cfg in cfgs:
@@ -223,49 +271,10 @@ def _step_ranks(cfgs, closed, distinct):
             j += 1
         for j in range(j, k):
             o = opts[cfg[j]]
-            if distinct:
-                parts[j + 1] = {s + b for s in parts[j] for b in o}
-            else:
-                parts[j + 1] = [s + b for s in parts[j] for b in o]
-        ranks = map(key_rank.__getitem__, parts[k])
-        out.append(tuple(sorted(ranks) if distinct else ranks))
+            parts[j + 1] = {s + b for s in parts[j] for b in o}
+        out.append(tuple(sorted(map(rank.__getitem__, parts[k]))))
         prev = cfg
     return tuple(out)
-
-
-@_per_graph
-def _configs(g: Graph, k: int):
-    """Configs (multisets of k vertices) in
-    ``combinations_with_replacement`` order (a config's rank is its index)
-    and ``closed[v]``, v's closed neighbourhood mask."""
-    n = g.n
-    rows = g.bit_rows
-    closed = tuple(rows[v] | 1 << v for v in range(n))
-    return tuple(itertools.combinations_with_replacement(range(n), k)), closed
-
-
-@_per_graph
-def _config_tables(g: Graph, k: int, l: int):
-    """``(cfgs, sights, closed)``: ``_configs`` with ``sights[c]``, the
-    mask the searchers of config c see with sight l."""
-    cfgs, closed = _configs(g, k)
-    rows = g.bit_rows
-    sight1 = [_ball(rows, 1 << v, l) for v in range(g.n)]
-    sights = []
-    for cfg in cfgs:
-        s = 0
-        for v in cfg:
-            s |= sight1[v]
-        sights.append(s)
-    return cfgs, tuple(sights), closed
-
-
-@_per_graph
-def _succs(g: Graph, k: int):
-    """``succs[c]``: the ranks one joint step from config c reaches,
-    ascending.  Built on first read: a search settled at placement never
-    asks for it."""
-    return _step_ranks(*_configs(g, k), True)
 
 
 @_per_graph
@@ -280,7 +289,9 @@ def _joint_moves(g: Graph, k: int):
     ``itertools.product`` order over the searchers' closed neighbourhoods
     (the last searcher fastest).  Only the per-searcher random chain reads
     it, so it is built per call, not kept."""
-    return _step_ranks(*_configs(g, k), False)
+    _, opts, rank = _keys(g, k)
+    return tuple(tuple(rank[sum(p)] for p in itertools.product(*map(opts.__getitem__, cfg)))
+                 for cfg in _configs(g, k)[0])
 
 
 @_per_graph
@@ -322,16 +333,16 @@ def _orbits(g: Graph, k: int):
     its orbit.
 
     Configs are met in rank order, so the first of an orbit is its least,
-    c0.  ``base[d]`` is c0 shifted past the n mask bits, and ``least[d]``
-    maps S to its least image over d's coset, the σ with σd = c0: on at
-    most ``_CHUNK`` vertices, one table lookup per σ."""
+    c0; the rank of σc is read from the multiset keys of ``_keys``.
+    ``base[d]`` is c0 shifted past the n mask bits, and ``least[d]`` maps S
+    to its least image over d's coset, the σ with σd = c0: on at most
+    ``_CHUNK`` vertices, one table lookup per σ."""
     group = _group(g)
     if not group:
         return ()
     n = g.n
     cfgs = _configs(g, k)[0]
-    w = k.bit_length()   # a multiset's key, as in _step_ranks
-    key_rank = {sum(1 << v * w for v in cfg): i for i, cfg in enumerate(cfgs)}
+    bit, _, rank = _keys(g, k)
     base = [None] * len(cfgs)
     least = [None] * len(cfgs)
     chunks = range(0, n, _CHUNK)
@@ -353,7 +364,7 @@ def _orbits(g: Graph, k: int):
         if base[c0] is None:
             cosets = {}
             for inv, tables in group:
-                cosets.setdefault(key_rank[sum(1 << inv[v] * w for v in cfg)], []).append(tables)
+                cosets.setdefault(rank[sum(bit[inv[v]] for v in cfg)], []).append(tables)
             for d, coset in cosets.items():
                 base[d] = c0 << n
                 if n > _CHUNK:
@@ -449,10 +460,9 @@ def solve_cleaning(
     an earlier level or this one, and a state expands ``succs[c]`` less
     those, in ascending rank as before.
     """
-    budget, (cfgs, sights, closed) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, (cfgs, _, keep, closed) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    keep = [full & ~s for s in sights]   # what config c leaves unseen
 
     visited = set()
     done = {}   # gas mask -> mask of the config ranks expanded from it
@@ -470,11 +480,7 @@ def solve_cleaning(
     def result(reached, capped):
         wit = None
         if witness and best_from is not None:
-            pkey, crank = best_from
-            if pkey is None:
-                wit = StrategyScript(l=l, place=cfgs[crank], turns=())
-            else:
-                wit = _witness_script(cfgs, closed, parents, pkey, crank, n, l)
+            wit = _witness_script(cfgs, closed, parents, *best_from, n, l)
         return CleanSolve(
             k=k, l=l, min_gas=best_gas, max_clean=n - best_gas,
             reached_stop=None if stop_at is None else reached,
@@ -609,7 +615,8 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
     ``_game`` tables, ``won`` and ``cover``.  ``who`` and ``space`` name
     the players and the state space in messages.
 
-    For config rank c, ``free[c]`` is the vertices outside ``zones[c]``.
+    For config rank c, ``free[c]`` is the vertices outside its capture
+    zone, the radius-rho sight table's unseen mask.
     Two masks per config grow round by round to their least fixpoint:
     ``won[c]``, the evader vertices from which the pursuers to move at c
     force capture within t rounds, and ``moved[c]``, those lost within t
@@ -631,15 +638,13 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
     masks only once all are computed, so each round reads the last one's.
     """
     budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
-    cfgs, zones, _ = tables
+    cfgs, _, free, _ = tables
     n = g.n
     if 2 * len(cfgs) * n > budget:
         raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
                             partial=None)
     succs = _succs(g, k)
     rows = g.bit_rows
-    full = (1 << n) - 1
-    free = [full & ~zc for zc in zones]
     hit = _config_tables(g, k, rho + 1)[1]
     won = [h & f for h, f in zip(hit, free)]
     cover = [NONE] * len(cfgs)
@@ -683,13 +688,17 @@ def pursuit_solve(g: Graph, k: int, rho: int, state_budget: Optional[int] = None
     for it, so mid-game forced captures cannot happen).  Capture time counts
     pursuer rounds; placement capture is time 0.
     """
-    (cfgs, _, _), _, cover = _pursuit(g, k, rho, state_budget)
-    best = min((t for t in cover if t != NONE), default=None)
-    return PursuitResult(
-        k=k, rho=rho, capture=best is not None, capture_time=best,
-        placement=None if best is None else cfgs[cover.index(best)],
-        states=2 * len(cfgs) * g.n,
-    )
+    (cfgs, _, _, _), _, cover = _pursuit(g, k, rho, state_budget)
+    return PursuitResult(k=k, rho=rho, **_answer(cfgs, cover), states=2 * len(cfgs) * g.n)
+
+
+def _answer(cfgs, times) -> dict:
+    """``capture``, ``capture_time`` and ``placement`` of a capture engine
+    from ``times[c]``, the rounds placement c needs (``NONE``: not won):
+    the least count wins, and the first placement wins ties."""
+    best = min((t for t in times if t != NONE), default=None)
+    return dict(capture=best is not None, capture_time=best,
+                placement=None if best is None else cfgs[times.index(best)])
 
 
 def _fewest(g: Graph, who: str, solve) -> int:
@@ -749,11 +758,10 @@ def limited_capture_solve(
     Capture_time is the worst-case number of rounds under optimal play by
     both sides (evader picks worst branch), minimized over placements.
     """
-    budget, (cfgs, sights, _) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, (cfgs, sights, _, _) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
     n = g.n
     full = (1 << n) - 1
-    occ = _config_tables(g, k, 0)[1]   # sight 0: the occupied vertices
-    free = [full & ~o for o in occ]
+    free = _config_tables(g, k, 0)[2]   # sight 0 misses all but the occupied
 
     def split(mask, sight):
         parts = []
@@ -812,7 +820,7 @@ def limited_capture_solve(
     # the placements, moves 0..C-1 with no makers, are interned before any
     # step table is built, so an over-budget start builds none
     for ci in range(len(cfgs)):
-        add_move({intern(ci, p) for p in split(full & ~occ[ci], sights[ci])}, [])
+        add_move({intern(ci, p) for p in split(free[ci], sights[ci])}, [])
     succs = _succs(g, k)
     lo, hi, h = _spread(g)
     low = (1 << h) - 1
@@ -860,13 +868,7 @@ def limited_capture_solve(
                         if not need[b]:
                             nxt.append(b)
         moves = nxt
-    times = rounds[:len(cfgs)]
-    best = min((t for t in times if t != NONE), default=None)
-    return LimitedCaptureResult(
-        k=k, l=l, capture=best is not None, capture_time=best,
-        placement=None if best is None else cfgs[times.index(best)],
-        states=len(into),
-    )
+    return LimitedCaptureResult(k=k, l=l, **_answer(cfgs, rounds[:len(cfgs)]), states=len(into))
 
 
 def capture_possible_limited(g: Graph, k: int, l: int, **kw) -> bool:

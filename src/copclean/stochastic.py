@@ -107,10 +107,9 @@ class _RandomPursuit:
         if move_model not in MOVE_MODELS:
             raise BadParamError(f"move model must be one of {MOVE_MODELS}")
         tables, won, _ = _pursuit(g, k, rho, state_budget, "searcher", "chain")
-        self.cfgs, self.zones, self.closed = cfgs, zones, closed = tables
+        self.cfgs, self.zones, self.free, self.closed = cfgs, _, free, closed = tables
         self.succs = succs = _succs(g, k)
-        n = self.n = g.n
-        self.full = (1 << n) - 1
+        self.n = g.n
         self.nc = len(cfgs)
 
         # per config, one table from pick index to successor rank, each
@@ -140,7 +139,6 @@ class _RandomPursuit:
         # ``evade_c[c]`` masks the searcher-to-move positions outside it:
         # the evader survives those against any searcher behavior, random
         # or not; an evader holding them is never caught
-        free = [self.full & ~zc for zc in zones]
         self.evade_c = [f & ~w for f, w in zip(free, won)]
         # every searcher move has positive probability, so the evader reaches
         # an unwon state with positive probability from wherever it can
@@ -169,7 +167,7 @@ class _RandomPursuit:
         evader's replies.  Returns the values, the largest Bellman residual
         ``|T v - v|`` over the region (an a-posteriori check of the values),
         and the number of policy evaluations."""
-        n, zones, closed, finite = self.n, self.zones, self.closed, self.finite_c
+        n, zones, free, closed, finite = self.n, self.zones, self.free, self.closed, self.finite_c
         sids = [c * n + r for c, f in enumerate(finite) for r in _mask_bits(f)]
         m = len(sids)
         if m > _PI_MAX_STATES:
@@ -185,7 +183,7 @@ class _RandomPursuit:
             c, r = divmod(sid, n)
             for c2, p in self.move_dist[c]:
                 if not zones[c2] >> r & 1:
-                    reps = [col[c2 * n + r2] for r2 in _mask_bits(closed[r] & ~zones[c2])]
+                    reps = [col[c2 * n + r2] for r2 in _mask_bits(closed[r] & free[c2])]
                     src.append(i)
                     prob.append(p)
                     replies.append(reps + [m] * (width - len(reps)))
@@ -220,10 +218,11 @@ class _RandomPursuit:
         """``(start, reply)`` for the Monte Carlo adversary: ``start[c]``,
         its placement against config c; ``reply[c*n + r]``, its move from r
         after the searchers step to c (-1: captured).  It is deterministic:
-        provably safe spots first (never captured from there), then
-        positive-escape-chance spots, then the largest expected time within
-        ``_TIE_REL``; options ascend, so ties go to the lowest vertex id."""
-        n, closed, zones, evade_c = self.n, self.closed, self.zones, self.evade_c
+        provably safe spots first (never captured from there), then the
+        largest expected time within ``_TIE_REL``, an infinite one above
+        every finite one; options ascend, so ties go to the lowest vertex
+        id."""
+        n, closed, zones, free, evade_c = self.n, self.closed, self.zones, self.free, self.evade_c
 
         def pick(c: int, options) -> int:
             if not options:
@@ -231,9 +230,6 @@ class _RandomPursuit:
             safe_opts = [r for r in options if evade_c[c] >> r & 1]
             if safe_opts:
                 return min(safe_opts)
-            inf_opts = [r for r in options if math.isinf(wc[c * n + r])]
-            if inf_opts:
-                return min(inf_opts)
             best_r, best_v = -1, -1.0
             for r in options:
                 v = wc[c * n + r]
@@ -241,15 +237,15 @@ class _RandomPursuit:
                     best_r, best_v = r, v
             return best_r
 
-        start = [pick(c, _mask_bits(self.full & ~zones[c])) for c in range(self.nc)]
+        start = [pick(c, _mask_bits(free[c])) for c in range(self.nc)]
         reply = [
-            -1 if zones[c] >> r & 1 else pick(c, _mask_bits(closed[r] & ~zones[c]))
+            -1 if zones[c] >> r & 1 else pick(c, _mask_bits(closed[r] & free[c]))
             for c in range(self.nc) for r in range(n)
         ]
         return start, reply
 
     def placement_value(self, c: int, wc) -> float:
-        safe = _mask_bits(self.full & ~self.zones[c])
+        safe = _mask_bits(self.free[c])
         return max((wc[c * self.n + r] for r in safe), default=0.0)
 
     def best_placement(self, wc) -> int:
@@ -365,8 +361,8 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Simulate the random-searcher chain against a greedy adversary driven
     by the exact analysis of ``expected_time`` (``greedy_evader``: provably
-    safe spots first, then spots with infinite expected time, then the
-    largest finite value, ties to the lowest vertex id).  The optimal
+    safe spots first, then the largest expected time, an infinite one above
+    every finite one, ties to the lowest vertex id).  The optimal
     placement is ``expected_time``'s.  A trial still running after
     ``horizon`` rounds counts as not captured.
 

@@ -189,6 +189,14 @@ def test_construct_check(capsys):
     assert d["script_cleans_at"] == 1
 
 
+def test_construct_bad_spacing_names_the_flag(capsys):
+    # k=1, m=4 puts 0 and 2 in one class, which the spacing rule forbids
+    code, out, err = run(capsys, "construct", "--k", "1", "--m", "4")
+    assert code == 2 and out == ""
+    d = json.loads(err)
+    assert d["error"] == "BAD_PARAM" and "--allow-bad-spacing" in d["message"]
+
+
 def test_construct_adversarial_fails(capsys):
     code, out, _ = run(capsys, "construct", "--k", "2", "--m", "8",
                        "--partition", "0,2;1,5;3,6;4,7", "--allow-bad-spacing",

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from copclean.errors import BadParamError, Graph6Error, UnsupportedSizeError, VertexRangeError
+from copclean.errors import (BadParamError, CopcleanError, Graph6Error, UnsupportedSizeError,
+                             VertexRangeError)
 from copclean import graphs
 from copclean.construction import ConstructionSpec, build_construction
 from copclean.families import complete, cycle, spider
@@ -265,6 +266,19 @@ def test_graph6_errors():
         assert e.value.code == "INVALID_CHAR", record
     with pytest.raises(Graph6Error):
         parse_graph6("C~~~~")   # too long for n=4
+
+
+def test_graph6_long_size_prefix():
+    # "~" then 3 size digits, or "~~" then 6, may carry any n: C5 three ways
+    c5 = parse_graph6("Dhc")
+    assert sorted(c5.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert parse_graph6("~~?????Dhc") == parse_graph6("~??Dhc") == c5
+    for record, code, msg in (("~~???", "TRUNCATED", "size prefix cut short"),
+                              ("~??", "TRUNCATED", "size prefix cut short"),
+                              ("~~~~~~~~", "UNSUPPORTED_SIZE", "n=68719476735 unsupported")):
+        with pytest.raises(CopcleanError) as e:
+            parse_graph6(record)
+        assert e.value.code == code and msg in str(e.value), record
 
 
 def test_graph6_emit_size_cap():

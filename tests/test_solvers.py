@@ -81,7 +81,7 @@ def test_config_tables_match_brute_force(small_connected):
         for k in (1, 2, 3):
             moves, succs = _joint_moves(g, k), _succs(g, k)
             for l in (0, 1, 2):
-                cfgs, sights, closed = _config_tables(g, k, l)
+                cfgs, sights, unseen, closed = _config_tables(g, k, l)
                 assert cfgs == tuple(itertools.combinations_with_replacement(range(g.n), k))
                 rank = {c: i for i, c in enumerate(cfgs)}
                 assert closed == tuple(sum(1 << u for u in b) for b in balls)
@@ -92,14 +92,15 @@ def test_config_tables_match_brute_force(small_connected):
                     assert moves[c] == tuple(picks), (g.edges(), k, cfg)
                     seen = [u for u in range(g.n) if min(dist[v][u] for v in cfg) <= l]
                     assert sights[c] == sum(1 << u for u in seen)
+                    assert unseen[c] == sum(1 << u for u in range(g.n) if u not in seen)
 
 
 def test_tables_are_read_only():
     tables = _config_tables(cycle(5), 2, 1)
-    cfgs, sights, closed = tables
+    cfgs, sights, unseen, closed = tables
     succs = _succs(cycle(5), 2)
-    for table in (tables, cfgs, sights, closed, succs, succs[0], _joint_moves(cycle(5), 2)[0],
-                  _succ_bits(cycle(5), 2)):
+    for table in (tables, cfgs, sights, unseen, closed, succs, succs[0],
+                  _joint_moves(cycle(5), 2)[0], _succ_bits(cycle(5), 2)):
         assert isinstance(table, tuple)
 
 

@@ -9,7 +9,7 @@ import oracles
 from copclean import cli, stochastic
 from copclean.errors import BadParamError, TooLargeError
 from copclean.families import complete, cycle, path, star
-from copclean.graphs import Graph, enumerate_connected
+from copclean.graphs import Graph, enumerate_connected, parse_graph6
 from copclean.solvers import _joint_moves, _succs, cop_number
 from copclean.stochastic import _RandomPursuit, expected_time, monte_carlo
 
@@ -113,6 +113,20 @@ def test_sure_capture_region_matches_oracle():
                         for r in range(n) if not chain.zones[c] >> r & 1
                     }
                     assert got == oracles.brute_sure_capture(g, k, rho), (g.edges(), k, rho)
+
+
+def test_greedy_evader_takes_lowest_infinite_option():
+    # DBw is the 4-cycle 1-3-2-4 with vertex 0 pendant at 4.  One searcher
+    # at 1 with capture radius 0: the evader at 0 may stay or go to 4.
+    # Only 2 is provably safe there, so neither option is, and both have
+    # infinite expected time; the tie goes to the lower id, 0
+    g = parse_graph6("DBw")
+    chain = _RandomPursuit(g, 1, 0, "per_cop")
+    wc = chain.policy_iteration()[0]
+    c = chain.cfgs.index((1,))
+    assert chain.evade_c[c] == 1 << 2
+    assert math.isinf(wc[c * g.n + 0]) and math.isinf(wc[c * g.n + 4])
+    assert chain.greedy_evader(wc)[1][c * g.n + 0] == 0
 
 
 def test_uniform_placement_never_beats_optimal():
