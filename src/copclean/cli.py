@@ -2,7 +2,8 @@
 
 Subcommands: metrics, gen, construct, clean-sim, solve, expected-time, mc,
 sweep, verify.  Exit codes: 0 success, 1 a suite or sweep reported failures,
-2 usage or input errors, 3 instance too large for the exact solvers.
+2 usage or input errors, 3 instance too large for the exact solvers, 141
+the reader closed stdout early (128 + SIGPIPE; nothing more is written).
 
 JSON output is emitted with sorted keys and no timing fields, so runs are
 byte-identical across machines and worker counts, up to the last digit of
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 import time
 from collections import Counter
@@ -309,7 +311,7 @@ def _check_girth_bound(g, p):
     l = p["l"]
     if not _is_cycle(g):
         return {"skipped": True}, True
-    expected = g.n if g.n <= 2 * l + 2 else 2 * l + 2
+    expected = min(g.n, 2 * l + 2)
     got = solvers.max_clean(g, 1, l).max_clean
     return {"max_clean": got, "expected": expected}, got == expected
 
@@ -399,13 +401,15 @@ def cmd_sweep(args) -> int:
 
 
 # -- verify suites ----------------------------------------------------------------
+# Each law is one sweep check above, and a suite that checks it calls that
+# check: on every class through _sweep_records (most through _census) or on
+# named graphs (girth-bound's cycles, see-infer-gap's C5).
 
 
 def _suite_thm_clean_8(args):
     n_max = 9 if args.big else 8
     details = [{"n": n, "graphs": 0, "failures": 0} for n in range(1, n_max + 1)]
-    params = {"l": 1, "k": 2, "r": 0, "rho": 0}
-    for rec in _sweep_records("cleanable", params, 1, n_max, args.jobs):
+    for rec in _sweep_records("cleanable", {"l": 1, "k": 2}, 1, n_max, args.jobs):
         d = details[rec["n"] - 1]
         d["graphs"] += 1
         if not rec["ok"]:
@@ -414,34 +418,33 @@ def _suite_thm_clean_8(args):
     return ok, {"per_n": details, "claim": "two sight-1 searchers clean every connected graph"}
 
 
-def _run_enum_checks(args, check, params, n_max):
-    """The failing graphs' graph6 codes and every record of ``check`` on n <= n_max."""
-    recs = list(_sweep_records(check, params, 1, n_max, args.jobs))
-    return [rec["graph6"] for rec in recs if not rec["ok"]], recs
+def _census(args, check, n_max=7, **params):
+    """The records of ``check`` on n <= n_max (l=1 unless given) and the failing graph6 codes."""
+    recs = list(_sweep_records(check, {"l": 1, **params}, 1, n_max, args.jobs))
+    return recs, [rec["graph6"] for rec in recs if not rec["ok"]]
 
 
 def _suite_ded_lipschitz(args):
-    bad, recs = _run_enum_checks(args, "ded-lipschitz", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    recs, bad = _census(args, "ded-lipschitz")
     return not bad, {"graphs": len(recs), "failures": bad[:10]}
 
 
 def _suite_see_infer_gap(args):
-    bad, recs = _run_enum_checks(args, "see-infer-gap", {"l": 1, "k": 1, "r": 1, "rho": 0}, 7)
-    c5 = families.cycle(5)
-    c5_gap = solvers.seeing_number(c5, 1).value - solvers.inference_number(c5, 1, 1).value
+    recs, bad = _census(args, "see-infer-gap", r=1)
+    c5_gap = _check_see_infer_gap(families.cycle(5), {"l": 1, "r": 1})[0]["gap"]
     ok = not bad and c5_gap == 1
     return ok, {"graphs": len(recs), "gap_histogram": Counter(rec["gap"] for rec in recs),
                 "cycle5_gap": c5_gap, "failures": bad[:10]}
 
 
 def _suite_single_cop_bound(args):
-    bad, recs = _run_enum_checks(args, "single-cop-bound", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    recs, bad = _census(args, "single-cop-bound")
     return not bad, {"graphs": len(recs), "failures": bad[:10],
                      "claim": "one searcher holds at least min(n, max sight degree + 2) clean"}
 
 
 def _suite_chain(args):
-    bad, recs = _run_enum_checks(args, "chain", {"l": 1, "k": 1, "r": 0, "rho": 0}, 7)
+    recs, bad = _census(args, "chain")
     return not bad, {"graphs": len(recs), "failures": bad[:10],
                      "claim": "reach_1 <= cop_number, seeing_1 <= cop_number, "
                               "and cop_number <= sight-1 capture count on n<=5"}
@@ -452,12 +455,9 @@ def _suite_girth_bound(args):
     ok = True
     for l in (1, 2):
         for n in range(3, 13):
-            g = families.cycle(n)
-            expected = n if n <= 2 * l + 2 else 2 * l + 2
-            got = solvers.max_clean(g, 1, l).max_clean
-            if got != expected:
-                ok = False
-            details.append({"n": n, "l": l, "max_clean": got, "expected": expected})
+            fields, good = _check_girth_bound(families.cycle(n), {"l": l})
+            ok = ok and good
+            details.append({"n": n, "l": l, **fields})
     # graphs whose shortest cycle is long relative to the sight radius need at
     # least min-degree many searchers; check one fewer always leaves gas
     floors = []
@@ -564,10 +564,23 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("metrics", help="structural metrics of a graph")
-    _add_graph_input(sp)
+    # the flags several subcommands share, each declared once
+    graph = argparse.ArgumentParser(add_help=False)
+    _add_graph_input(graph)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--k", type=int, required=True)
+    chain.add_argument("--rho", type=int, default=0)
+    chain.add_argument("--move-model", choices=list(stochastic.MOVE_MODELS), default="per_cop")
+    chain.add_argument("--placement", choices=list(stochastic.PLACEMENTS), default="optimal")
+    census = argparse.ArgumentParser(add_help=False)
+    census.add_argument("--jobs", type=int, default=1)
+    census.add_argument("--big", action="store_true")
+    census.add_argument("--timing", action="store_true")
+
+    sp = sub.add_parser("metrics", parents=[graph, as_json], help="structural metrics of a graph")
     sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("gen", help="enumerate connected graphs as graph6")
@@ -575,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--big", action="store_true")
     sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("construct", help="build the seeing/capture gap family")
+    sp = sub.add_parser("construct", parents=[as_json],
+                        help="build the seeing/capture gap family")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--m", type=int)
     sp.add_argument("--partition", help="override classes, e.g. '0,2;1,5;3,6;4,7'")
@@ -584,52 +598,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timing", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_construct)
 
-    sp = sub.add_parser("clean-sim", help="replay a strategy script")
-    _add_graph_input(sp)
+    sp = sub.add_parser("clean-sim", parents=[graph, as_json], help="replay a strategy script")
     sp.add_argument("--script", required=True, metavar="FILE")
     sp.add_argument("--trace", action="store_true", help="print every state")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_clean_sim)
 
-    sp = sub.add_parser("solve", help="exact game values")
+    sp = sub.add_parser("solve", parents=[graph, as_json], help="exact game values")
     sp.add_argument("question", choices=["see", "infer", "maxclean", "cop", "reach",
                                          "capture-limited"])
-    _add_graph_input(sp)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--rho", type=int, default=0)
     sp.add_argument("--witness", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("expected-time", help="expected rounds until capture")
-    _add_graph_input(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--rho", type=int, default=0)
+    sp = sub.add_parser("expected-time", parents=[graph, as_json, chain],
+                        help="expected rounds until capture")
     sp.add_argument("--mode", choices=list(stochastic.MODES), default="random")
-    sp.add_argument("--move-model", choices=list(stochastic.MOVE_MODELS), default="per_cop")
-    sp.add_argument("--placement", choices=list(stochastic.PLACEMENTS), default="optimal")
     sp.add_argument("--l", type=int, help="sight radius, belief mode only")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_expected_time)
 
-    sp = sub.add_parser("mc", help="Monte Carlo capture simulation")
-    _add_graph_input(sp)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--rho", type=int, default=0)
+    sp = sub.add_parser("mc", parents=[graph, as_json, chain],
+                        help="Monte Carlo capture simulation")
     sp.add_argument("--trials", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--horizon", type=int)
-    sp.add_argument("--move-model", choices=list(stochastic.MOVE_MODELS), default="per_cop")
-    sp.add_argument("--placement", choices=list(stochastic.PLACEMENTS), default="optimal")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_mc)
 
-    sp = sub.add_parser("sweep", help="run a check over all connected graphs up to n")
+    sp = sub.add_parser("sweep", parents=[as_json, census],
+                        help="run a check over all connected graphs up to n")
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--n-min", type=int, default=1)
     sp.add_argument("--check", required=True)
@@ -637,20 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--r", type=int, default=0)
     sp.add_argument("--rho", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--big", action="store_true")
-    sp.add_argument("--timing", action="store_true")
     sp.add_argument("--verbose", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="named verification suites")
+    sp = sub.add_parser("verify", parents=[as_json, census], help="named verification suites")
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--big", action="store_true")
     sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--timing", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
     return p
@@ -663,20 +655,23 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except TooLargeError as e:
-        payload = {"error": e.code, "message": str(e)}
-        if e.partial is not None:
-            payload["partial"] = {
-                "min_gas": e.partial.min_gas,
-                "max_clean_lower_bound": e.partial.max_clean,
-                "states": e.partial.states,
-            }
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 3
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and exit as a
+        # process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CopcleanError as e:
-        print(json.dumps({"error": e.code, "message": str(e)}, sort_keys=True), file=sys.stderr)
-        return 2
+        payload = {"error": e.code, "message": str(e)}
+        too_large = isinstance(e, TooLargeError)
+        if too_large and e.partial is not None:
+            part = e.partial
+            payload["partial"] = {"min_gas": part.min_gas, "states": part.states,
+                                  "max_clean_lower_bound": part.max_clean}
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return 3 if too_large else 2
 
 
 if __name__ == "__main__":

@@ -65,8 +65,13 @@ Three engines share this module:
 
 Every engine, the random chain in ``stochastic`` too, enters through
 ``_game``, which checks the searcher count, the radius, the vertex cap and
-connectivity, in that order, then resolves the state budget and reads one
-shared bitmask layer, where every per-configuration table is built and no
+connectivity, in that order, then resolves the state budget and counts
+the configurations, C(n+k-1, k).  Pursuit and the random chain refuse a
+game whose 2*C*n states exceed the budget, and limited capture one whose
+C placements do, before they build any table; the cleaning search
+interns every placement first, as a placement can settle its search and
+its partial result reads them all.  Every engine then reads one shared
+bitmask layer, where every per-configuration table is built and no
 engine derives one again: ``_config_tables`` enumerates the searcher
 configurations with their sight masks, the unseen masks that are their
 complements, and the closed neighbourhoods.  Every ball on bit rows, a
@@ -120,6 +125,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -378,7 +384,8 @@ def _orbits(g: Graph, k: int):
 
 def _game(g: Graph, k: int, radius: int, max_n: int, state_budget: Optional[int],
           who: str = "searcher", radius_kind: str = "sight"):
-    """Every engine's checks, then ``(budget, _config_tables(g, k, radius))``;
+    """Every engine's checks, then ``(budget, C)``, C the number of k-searcher
+    configurations, so that an engine can refuse before it builds any table;
     ``who`` and ``radius_kind`` name the players and the radius in messages."""
     if k < 1:
         raise BadParamError(f"need at least one {who}")
@@ -388,7 +395,7 @@ def _game(g: Graph, k: int, radius: int, max_n: int, state_budget: Optional[int]
         raise TooLargeError(f"solver handles up to {max_n} vertices, got {g.n}", partial=None)
     if not _connected(g):
         raise BadParamError("solver expects a connected graph")
-    return _budget(state_budget), _config_tables(g, k, radius)
+    return _budget(state_budget), math.comb(g.n + k - 1, k)
 
 
 # -- cleaning game -----------------------------------------------------------
@@ -460,7 +467,8 @@ def solve_cleaning(
     an earlier level or this one, and a state expands ``succs[c]`` less
     those, in ascending rank as before.
     """
-    budget, (cfgs, _, keep, closed) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, _ = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    cfgs, _, keep, closed = _config_tables(g, k, l)
     n = g.n
     full = (1 << n) - 1
 
@@ -611,9 +619,9 @@ class PursuitResult:
 
 def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
              who: str = "pursuer", space: str = "pursuit"):
-    """The pursuit game, solved over evader-position masks: returns the
-    ``_game`` tables, ``won`` and ``cover``.  ``who`` and ``space`` name
-    the players and the state space in messages.
+    """The pursuit game, solved over evader-position masks: returns its
+    ``_config_tables`` tables, ``won`` and ``cover``.  ``who`` and
+    ``space`` name the players and the state space in messages.
 
     For config rank c, ``free[c]`` is the vertices outside its capture
     zone, the radius-rho sight table's unseen mask.
@@ -637,12 +645,12 @@ def _pursuit(g: Graph, k: int, rho: int, state_budget: Optional[int],
     ``succs[c0]`` (the step relation is symmetric), and applies the new
     masks only once all are computed, so each round reads the last one's.
     """
-    budget, tables = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
-    cfgs, _, free, _ = tables
+    budget, nc = _game(g, k, rho, _PURSUIT_MAX_N, state_budget, who, "capture")
     n = g.n
-    if 2 * len(cfgs) * n > budget:
-        raise TooLargeError(f"{space} space 2*{len(cfgs)}*{n} exceeds budget {budget}",
-                            partial=None)
+    if 2 * nc * n > budget:
+        raise TooLargeError(f"{space} space 2*{nc}*{n} exceeds budget {budget}", partial=None)
+    tables = _config_tables(g, k, rho)
+    cfgs, _, free, _ = tables
     succs = _succs(g, k)
     rows = g.bit_rows
     hit = _config_tables(g, k, rho + 1)[1]
@@ -758,7 +766,10 @@ def limited_capture_solve(
     Capture_time is the worst-case number of rounds under optimal play by
     both sides (evader picks worst branch), minimized over placements.
     """
-    budget, (cfgs, sights, _, _) = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    budget, nc = _game(g, k, l, _CLEAN_MAX_N, state_budget)
+    if nc > budget:   # each placement is a stored move
+        raise TooLargeError(f"candidate-set space exceeds budget {budget}", partial=None)
+    cfgs, sights, _, _ = _config_tables(g, k, l)
     n = g.n
     full = (1 << n) - 1
     free = _config_tables(g, k, 0)[2]   # sight 0 misses all but the occupied

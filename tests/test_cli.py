@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from copclean.cli import main
+from copclean.cli import build_parser, main
 from copclean.graphs import Graph, emit_graph6, enumerate_connected
 
 
@@ -332,6 +333,12 @@ GOLDEN = {
         "17d4c0b2f425f5decf06fad04e3e069447ef096f1b20c5bcf69df0341503c0e1",
     ("verify", "--suite", "single-cop-bound", "--jobs", "2", "--json"):
         "3d99a0d884c40c6463798a99e2dfd08977fb934b9c89974c74dcc63fcf1e7026",
+    ("verify", "--suite", "ded-lipschitz", "--jobs", "2", "--json"):
+        "6340eabf71727bd6196bd5bd78eebae1de232e0c63a569b4896b6b1a4c840776",
+    ("verify", "--suite", "chain", "--jobs", "2", "--json"):
+        "6bcd6ff6b71300eb9aea99e38a302cec02aaad5f443e3894d7cd409692807bf4",
+    ("verify", "--suite", "girth-bound", "--jobs", "2", "--json"):
+        "d4bfd70d4ca46a127f8de93ccb6dcecb511ac561380dc4c097c252e7d952b35c",
     ("metrics", "--family", "petersen", "--json"):
         "2ee66dbaa3e273fc64834645a93f1305b4c87c892c41458c22b3cdacead65a0a",
     ("metrics", "--family", "tree:9:1", "--l", "2"):
@@ -472,3 +479,161 @@ def test_mc_rejects_zero_horizon(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "BAD_PARAM"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--n", "7"),
+    ("sweep", "--n-max", "6", "--check", "see", "--json", "--jobs", "2"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_quietly(argv):
+    # a reader that stops early, as `| head -1` does, closes the pipe: the
+    # command stops with no traceback and the exit code of SIGPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "copclean", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n-max", "4", "--check", "see", "--json"),
+    ("verify", "--suite", "girth-bound", "--json"),
+    ("construct", "--k", "1", "--m", "2", "--check", "exhaustive", "--json"),
+], ids=lambda argv: argv[0])
+def test_timing_adds_only_elapsed(capsys, argv):
+    code, plain, _ = run(capsys, *argv)
+    timed_code, timed, _ = run(capsys, *argv, "--timing")
+    assert code == timed_code == 0
+    recs = [json.loads(line) for line in timed.splitlines()]
+    # a sweep times each record, not its summary; the others time the run
+    timed_recs = recs[:-1] if argv[0] == "sweep" else recs
+    for rec in timed_recs:
+        elapsed = rec.pop("elapsed")
+        assert isinstance(elapsed, float) and elapsed >= 0
+    assert "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs) == plain
+
+
+def test_sweep_verbose_prints_every_class(capsys):
+    argv = ("sweep", "--n-max", "5", "--check", "cleanable", "--k", "1")
+    code, quiet, _ = run(capsys, *argv)
+    verbose_code, verbose, _ = run(capsys, *argv, "--verbose")
+    assert code == verbose_code == 1
+    lines = verbose.splitlines()
+    failing = [line for line in lines if "ok=False" in line]
+    assert len(lines) == 31 + 1 and failing
+    assert lines[-1] == f"cleanable: 31 graphs, {len(failing)} failures"
+    assert all(line.split(": ")[1].startswith("cleanable=") for line in lines[:-1])
+    # without --verbose only the failing classes print
+    assert quiet.splitlines() == failing + lines[-1:]
+
+
+# every subcommand's flags: dest, default, required, choices and type
+FLAGS = {
+    "metrics": {
+        "--in": ("g6_file", None, False, None, None),
+        "--edges": ("edges", None, False, None, None),
+        "--family": ("family", None, False, None, None),
+        "--l": ("l", 1, False, None, "int"),
+        "--json": ("json", False, False, None, None),
+    },
+    "gen": {
+        "--n": ("n", None, True, None, "int"),
+        "--big": ("big", False, False, None, None),
+    },
+    "construct": {
+        "--k": ("k", None, True, None, "int"),
+        "--m": ("m", None, False, None, "int"),
+        "--partition": ("partition", None, False, None, None),
+        "--allow-bad-spacing": ("allow_bad_spacing", False, False, None, None),
+        "--check": ("check", "none", False, ["none", "exhaustive", "sampled"], None),
+        "--samples": ("samples", 1000000, False, None, "int"),
+        "--seed": ("seed", 0, False, None, "int"),
+        "--timing": ("timing", False, False, None, None),
+        "--json": ("json", False, False, None, None),
+    },
+    "clean-sim": {
+        "--in": ("g6_file", None, False, None, None),
+        "--edges": ("edges", None, False, None, None),
+        "--family": ("family", None, False, None, None),
+        "--script": ("script", None, True, None, None),
+        "--trace": ("trace", False, False, None, None),
+        "--json": ("json", False, False, None, None),
+    },
+    "solve": {
+        "question": ("question", None, True,
+                     ["see", "infer", "maxclean", "cop", "reach", "capture-limited"], None),
+        "--in": ("g6_file", None, False, None, None),
+        "--edges": ("edges", None, False, None, None),
+        "--family": ("family", None, False, None, None),
+        "--l": ("l", 1, False, None, "int"),
+        "--k": ("k", 1, False, None, "int"),
+        "--r": ("r", 0, False, None, "int"),
+        "--rho": ("rho", 0, False, None, "int"),
+        "--witness": ("witness", False, False, None, None),
+        "--json": ("json", False, False, None, None),
+    },
+    "expected-time": {
+        "--in": ("g6_file", None, False, None, None),
+        "--edges": ("edges", None, False, None, None),
+        "--family": ("family", None, False, None, None),
+        "--k": ("k", None, True, None, "int"),
+        "--rho": ("rho", 0, False, None, "int"),
+        "--mode": ("mode", "random", False, ["random", "belief"], None),
+        "--move-model": ("move_model", "per_cop", False, ["per_cop", "joint_multiset"], None),
+        "--placement": ("placement", "optimal", False, ["optimal", "uniform"], None),
+        "--l": ("l", None, False, None, "int"),
+        "--json": ("json", False, False, None, None),
+    },
+    "mc": {
+        "--in": ("g6_file", None, False, None, None),
+        "--edges": ("edges", None, False, None, None),
+        "--family": ("family", None, False, None, None),
+        "--k": ("k", None, True, None, "int"),
+        "--rho": ("rho", 0, False, None, "int"),
+        "--trials": ("trials", 10000, False, None, "int"),
+        "--seed": ("seed", 0, False, None, "int"),
+        "--horizon": ("horizon", None, False, None, "int"),
+        "--move-model": ("move_model", "per_cop", False, ["per_cop", "joint_multiset"], None),
+        "--placement": ("placement", "optimal", False, ["optimal", "uniform"], None),
+        "--json": ("json", False, False, None, None),
+    },
+    "sweep": {
+        "--n-max": ("n_max", None, True, None, "int"),
+        "--n-min": ("n_min", 1, False, None, "int"),
+        "--check": ("check", None, True, None, None),
+        "--l": ("l", 1, False, None, "int"),
+        "--k": ("k", 1, False, None, "int"),
+        "--r": ("r", 0, False, None, "int"),
+        "--rho": ("rho", 0, False, None, "int"),
+        "--jobs": ("jobs", 1, False, None, "int"),
+        "--big": ("big", False, False, None, None),
+        "--timing": ("timing", False, False, None, None),
+        "--verbose": ("verbose", False, False, None, None),
+        "--json": ("json", False, False, None, None),
+    },
+    "verify": {
+        "--suite": ("suite", None, True, None, None),
+        "--jobs": ("jobs", 1, False, None, "int"),
+        "--big": ("big", False, False, None, None),
+        "--samples": ("samples", 1000000, False, None, "int"),
+        "--timing": ("timing", False, False, None, None),
+        "--json": ("json", False, False, None, None),
+    },
+}
+GRAPH_INPUT = ["--edges", "--family", "--in"]
+
+
+def test_flags_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(FLAGS)
+    for name, sp in sub.choices.items():
+        got = {" ".join(a.option_strings) or a.dest:
+               (a.dest, a.default, a.required, a.choices and list(a.choices),
+                a.type and a.type.__name__)
+               for a in sp._actions if a.dest != "help"}
+        assert got == FLAGS[name], name
+        # one graph input is required: exactly one of --in, --edges, --family
+        groups = [sorted(o for a in grp._group_actions for o in a.option_strings)
+                  for grp in sp._mutually_exclusive_groups if grp.required]
+        assert groups == ([GRAPH_INPUT] if "--in" in FLAGS[name] else []), name

@@ -144,6 +144,26 @@ def test_budget_binds_before_step_tables():
         assert not late & {key[0] for key in solvers._slot[1]}
 
 
+def test_budget_binds_before_config_tables():
+    # three searchers on C12 have C(14, 3) = 364 configurations: pursuit and
+    # the random chain refuse their 2*364*12 states, and limited capture its
+    # 364 placements, against a budget of 100 before building any table
+    g = cycle(12)
+    tables = {solvers._configs.__wrapped__, solvers._config_tables.__wrapped__}
+    for call, msg in (
+        (lambda: pursuit_solve(g, 3, 0, state_budget=100),
+         "pursuit space 2*364*12 exceeds budget 100"),
+        (lambda: expected_time(g, 3, 0, state_budget=100),
+         "chain space 2*364*12 exceeds budget 100"),
+        (lambda: limited_capture_solve(g, 3, 1, state_budget=100),
+         "candidate-set space exceeds budget 100"),
+    ):
+        with pytest.raises(TooLargeError, match=re.escape(msg)):
+            call()
+        assert solvers._slot[0] is g
+        assert not tables & {key[0] for key in solvers._slot[1]}
+
+
 def test_table_reuse_matches_cold_calls():
     # one graph's tables are kept between calls; interleaving two graphs
     # must answer as fresh copies of them do, whose tables start cold
