@@ -27,7 +27,7 @@ actual adjacency, exhaustively via translation classes or by sampling.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def _blocked_types(cg: ConstructionGraph, evader: int, searcher: int, searcher_a
     return out
 
 
-_CHUNK = 1 << 13   # pairs per kernel step; keeps the temporaries in cache
+_CHUNK = 1 << 12   # pairs per kernel step; keeps the temporaries in cache
 
 
 def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.ndarray) -> np.ndarray:
@@ -261,10 +261,14 @@ def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.nd
     out.  The pairs are taken by searcher block, ``_CHUNK`` at a time, and
     the searcher's own vertex, in block j, is judged as one more entry.
     Each count goes back to its pair's index, so nothing the size of the
-    graph is copied."""
+    graph is copied.  The bits are counted by one gather into ``ones``,
+    the popcount of every m-bit value."""
     m, mask = cg.m, (1 << cg.m) - 1
     indptr, nbrs = cg.graph._indptr, cg.graph._nbrs
     class_bits = np.array([sum(1 << q for q in cls) for cls in cg.partition], dtype=np.int32)
+    ones = np.zeros(1 << m, dtype=np.uint8)
+    for q in range(m):
+        ones[1 << q:2 << q] = ones[:1 << q] + 1
     counts = np.empty(len(evaders), dtype=np.int32)
     for j in range(cg.blocks):
         lo = int(indptr[j << m])
@@ -294,17 +298,22 @@ def _blocked_counts(cg: ConstructionGraph, evaders: np.ndarray, searchers: np.nd
             se *= own
             np.bitwise_or.reduce(d, axis=1, out=bits)
             bits |= se
-            counts[p] = sum((bits >> q) & 1 for q in range(m))
+            counts[p] = ones[bits]
     return counts
 
 
 MAX_SAMPLES = 1 << 24
 
+# pairs per chunk a check lists and hands to ``_blocked_counts``
+_PAIRS = 1 << 16
+
 
 def _check_samples(samples: int) -> None:
-    """Refuse a sampled check's pair count before anything is built: below
-    one there is nothing to check, and above ``MAX_SAMPLES`` the two int32
-    arrays of ``_sample_pairs`` alone would pass 128 MiB (8 GB at 10^9)."""
+    """Refuse a sampled check's pair count before anything is drawn: below
+    one there is nothing to check, and ``MAX_SAMPLES`` bounds its run time.
+    The pairs stream through in chunks, so memory does not grow with the
+    count, but each 10^6 pairs take about 0.2 s (some 3 s at the cap, and
+    minutes at 10^9)."""
     if samples < 1:
         raise BadParamError("sampled blocking check needs samples >= 1")
     if samples > MAX_SAMPLES:
@@ -313,22 +322,44 @@ def _check_samples(samples: int) -> None:
         )
 
 
-def _sample_pairs(outside: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_pairs(outside: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``samples`` ordered pairs of distinct vertices below ``outside``,
-    each uniform over all such pairs, as (evaders, searchers) arrays.
+    each uniform over all such pairs, as (evaders, searchers) int32 arrays
+    of at most ``_PAIRS`` pairs each.
 
-    One generator, ``_seeded_rng(seed)``, makes two draws: every evader,
-    then every offset ``off`` below ``outside - 1``.  The searcher is
-    ``(ev + 1 + off) % outside``, uniform over the vertices other than the
-    evader, so no draw is rejected.  A negative seed raises
-    ``BadParamError``."""
-    rng = _seeded_rng(seed)
-    evaders = rng.integers(outside, size=samples, dtype=np.int32)
-    searchers = rng.integers(outside - 1, size=samples, dtype=np.int32)
-    searchers += 1
-    searchers += evaders
-    searchers %= outside
-    return evaders, searchers
+    The stream is that of one generator, ``_seeded_rng(seed)``, making two
+    draws: every evader, then every offset ``off`` below ``outside - 1``.
+    The searcher is ``(ev + 1 + off) % outside``, uniform over the vertices
+    other than the evader, so no draw is rejected.  Chunked ``integers``
+    draws join up to the one-shot draw, so one generator draws the evaders
+    chunk by chunk, and a second with the same seed first draws and drops
+    every evader, then draws the offsets chunk by chunk.  A negative seed
+    raises ``BadParamError`` at the first chunk."""
+    sizes = [min(_PAIRS, samples - lo) for lo in range(0, samples, _PAIRS)]
+    draws, offsets = _seeded_rng(seed), _seeded_rng(seed)
+    for size in sizes:
+        offsets.integers(outside, size=size, dtype=np.int32)
+    for size in sizes:
+        evaders = draws.integers(outside, size=size, dtype=np.int32)
+        searchers = offsets.integers(outside - 1, size=size, dtype=np.int32)
+        searchers += 1
+        searchers += evaders
+        searchers %= outside
+        yield evaders, searchers
+
+
+def _walk_pairs(blocks: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The exhaustive walk's pairs, as (evaders, searchers) int32 arrays of
+    at most ``_PAIRS`` pairs each: every outside searcher in order and, for
+    each, the residue-0 vertex of every block in order as the evader, save
+    the searcher itself."""
+    step = _PAIRS // blocks
+    tiled = np.tile(np.arange(blocks, dtype=np.int32) << m, step)
+    for lo in range(0, blocks << m, step):
+        searchers = np.repeat(np.arange(lo, min(lo + step, blocks << m), dtype=np.int32), blocks)
+        evaders = tiled[:len(searchers)]
+        keep = searchers != evaders
+        yield evaders[keep], searchers[keep]
 
 
 # violating pairs a check re-judges and reports
@@ -344,51 +375,49 @@ def check_blocking(
     """Verify the one-type-per-searcher interference property over ordered
     pairs of distinct outside vertices.
 
-    Both modes list (evader, searcher) pairs and hand them to one numpy
-    kernel, ``_blocked_counts``, which reads each searcher's closed row of
-    the built graph once per pair and turns every entry into at most one
-    blocked type bit.  The first ``_MAX_VIOLATIONS`` pairs that block more
-    than one type are re-judged by ``_blocked_types``, the per-pair
-    reference, in the order the pairs were listed.
+    Both modes list (evader, searcher) pairs in chunks of at most
+    ``_PAIRS`` and hand each chunk to one numpy kernel, ``_blocked_counts``,
+    which reads each searcher's closed row of the built graph once per pair
+    and turns every entry into at most one blocked type bit.  Each chunk's
+    counts fold into the running maximum, and the first ``_MAX_VIOLATIONS``
+    pairs that block more than one type are re-judged by ``_blocked_types``,
+    the per-pair reference, in the order the pairs were listed.  No array
+    of the pair count is built, so memory does not grow with it.
 
-    Exhaustive mode walks translation classes: shifting every residue by a
-    constant is an automorphism (all edges depend on residue differences
-    only), so pinning the evader's residue at 0 covers every pair; the
-    reported pair count is the full ordered total.  Sampled mode checks
-    ``samples`` random pairs from ``_sample_pairs``, refused by
-    ``_check_samples`` unless 1 <= samples <= ``MAX_SAMPLES``: one PCG64
-    generator seeded with ``seed`` draws every evader, then every offset to
-    its searcher, which makes each pair uniform over the ordered pairs of
-    distinct outside vertices.
+    Exhaustive mode walks translation classes (``_walk_pairs``): shifting
+    every residue by a constant is an automorphism (all edges depend on
+    residue differences only), so pinning the evader's residue at 0 covers
+    every pair; the reported pair count is the full ordered total.  Sampled
+    mode checks ``samples`` random pairs from ``_sample_pairs``, refused by
+    ``_check_samples`` unless 1 <= samples <= ``MAX_SAMPLES``: the stream of
+    one PCG64 generator seeded with ``seed`` draws every evader, then every
+    offset to its searcher, which makes each pair uniform over the ordered
+    pairs of distinct outside vertices.
     """
     outside = cg.blocks << cg.m
     if mode == "exhaustive":
-        # walk order: searcher block j, searcher residue delta, evader block i
-        nb, size = cg.blocks, 1 << cg.m
-        searchers = np.repeat(np.arange(nb * size, dtype=np.int32), nb)
-        evaders = np.tile(np.arange(nb, dtype=np.int32) << cg.m, nb * size)
-        keep = searchers != evaders
-        evaders, searchers = evaders[keep], searchers[keep]
+        pairs = _walk_pairs(cg.blocks, cg.m)
         checked, extra = outside * (outside - 1), {}
     elif mode == "sampled":
         _check_samples(samples)
-        evaders, searchers = _sample_pairs(outside, samples, seed)
+        pairs = _sample_pairs(outside, samples, seed)
         checked, extra = samples, {"samples": samples, "seed": seed}
     else:
         raise BadParamError("mode must be 'exhaustive' or 'sampled'")
 
-    counts = _blocked_counts(cg, evaders, searchers)
-    max_blocked = int(counts.max())
-    violations = []
+    max_blocked, violations = 0, []
     mask = (1 << cg.m) - 1
-    for p in np.flatnonzero(counts > 1)[:_MAX_VIOLATIONS].tolist():
-        ev, se = int(evaders[p]), int(searchers[p])
-        violations.append({
-            "evader": [cg.block_of(ev), cg.residue_of(ev)],
-            "searcher": [cg.block_of(se), cg.residue_of(se)],
-            "delta": (cg.residue_of(se) - cg.residue_of(ev)) & mask,
-            "types": _blocked_types(cg, ev, se, set(cg.graph.neighbors(se))),
-        })
+    for evaders, searchers in pairs:
+        counts = _blocked_counts(cg, evaders, searchers)
+        max_blocked = max(max_blocked, int(counts.max()))
+        for p in np.flatnonzero(counts > 1)[:_MAX_VIOLATIONS - len(violations)].tolist():
+            ev, se = int(evaders[p]), int(searchers[p])
+            violations.append({
+                "evader": [cg.block_of(ev), cg.residue_of(ev)],
+                "searcher": [cg.block_of(se), cg.residue_of(se)],
+                "delta": (cg.residue_of(se) - cg.residue_of(ev)) & mask,
+                "types": _blocked_types(cg, ev, se, set(cg.graph.neighbors(se))),
+            })
     return BlockingReport(
         mode=mode, checked_pairs=checked, max_blocked=max_blocked,
         passed=max_blocked <= 1, violations=violations, **extra,

@@ -10,10 +10,12 @@ import oracles
 from copclean.cleaning import run_script
 from copclean.construction import (
     MAX_SAMPLES,
+    _PAIRS,
     ConstructionSpec,
     _blocked_counts,
     _blocked_types,
     _sample_pairs,
+    _walk_pairs,
     build_construction,
     check_blocking,
     check_middle_dominating,
@@ -269,13 +271,20 @@ def test_blocking_sampled_deterministic():
         check_blocking(cg, mode="quick")
 
 
+def drawn_pairs(outside, samples, seed):
+    """Every pair ``_sample_pairs`` draws, its chunks joined into one
+    evaders array and one searchers array."""
+    evaders, searchers = zip(*_sample_pairs(outside, samples, seed))
+    return np.concatenate(evaders), np.concatenate(searchers)
+
+
 def sampled_recount(cg, samples, seed, max_violations=5):
     """The sampled check done pair by pair with ``_blocked_types``, on the
     pairs ``_sample_pairs`` draws."""
     outside = cg.blocks << cg.m
     mask = (1 << cg.m) - 1
     worst, violations = 0, []
-    for ev, se in zip(*(a.tolist() for a in _sample_pairs(outside, samples, seed))):
+    for ev, se in zip(*(a.tolist() for a in drawn_pairs(outside, samples, seed))):
         types = _blocked_types(cg, ev, se, set(cg.graph.neighbors(se)))
         worst = max(worst, len(types))
         if len(types) > 1 and len(violations) < max_violations:
@@ -313,7 +322,7 @@ BLOCKED_COUNTS_SHA256 = {
 def test_blocked_counts_pinned():
     for partition, expected in BLOCKED_COUNTS_SHA256.items():
         cg = build(m=12, partition=partition, allow_bad=True)
-        ev, se = _sample_pairs(cg.blocks << cg.m, 200_000, 7)
+        ev, se = drawn_pairs(cg.blocks << cg.m, 200_000, 7)
         counts = _blocked_counts(cg, ev, se)
         assert counts.dtype == np.int32
         assert hashlib.sha256(counts.tobytes()).hexdigest() == expected, partition
@@ -321,7 +330,7 @@ def test_blocked_counts_pinned():
 
 def test_blocked_counts_match_reference_unequal_classes():
     cg = build(m=12, partition=UNEQUAL_M12, allow_bad=True)
-    ev, se = _sample_pairs(cg.blocks << cg.m, 3000, 0)
+    ev, se = drawn_pairs(cg.blocks << cg.m, 3000, 0)
     counts = _blocked_counts(cg, ev, se).tolist()
     for n, e, s in zip(counts, ev.tolist(), se.tolist()):
         assert n == len(_blocked_types(cg, e, s, set(cg.graph.neighbors(s)))), (e, s)
@@ -334,7 +343,7 @@ def test_sampled_pairs_are_distinct_and_uniform():
     cg = build(k=2, m=8)
     outside = cg.blocks << cg.m
     samples = 200_000
-    ev, se = _sample_pairs(outside, samples, 12)
+    ev, se = drawn_pairs(outside, samples, 12)
     assert len(ev) == len(se) == samples
     assert not (ev == se).any()
     assert 0 <= min(ev.min(), se.min()) and max(ev.max(), se.max()) < outside
@@ -350,13 +359,71 @@ def test_sampled_pairs_are_the_int64_stream():
     # same seed, drawing in int64, must give the same pairs by the formula
     for seed in (0, 7, 12):
         for outside in (1024, 16384, 262144):
-            ev, se = _sample_pairs(outside, 20_000, seed)
+            ev, se = drawn_pairs(outside, 20_000, seed)
             assert ev.dtype == se.dtype == np.int32
             rng = np.random.default_rng(seed)
             ev64 = rng.integers(outside, size=20_000, dtype=np.int64)
             off = rng.integers(outside - 1, size=20_000, dtype=np.int64)
             assert np.array_equal(ev, ev64)
             assert np.array_equal(se, (ev64 + 1 + off) % outside)
+
+
+def test_sampled_pairs_stream_across_chunks():
+    # the chunks join up to one int64 draw of every evader, then every
+    # offset, on either side of each chunk boundary; a numpy whose chunked
+    # draws do not join up to the one-shot stream fails here
+    for outside in (1024, 6 << 12, 262144):
+        for samples in (1, _PAIRS - 1, _PAIRS, 3 * _PAIRS + 7):
+            chunks = list(_sample_pairs(outside, samples, 5))
+            assert all(ev.dtype == se.dtype == np.int32 and len(ev) == len(se) <= _PAIRS
+                       for ev, se in chunks)
+            ev, se = (np.concatenate(side) for side in zip(*chunks))
+            rng = np.random.default_rng(5)
+            ev64 = rng.integers(outside, size=samples, dtype=np.int64)
+            off = rng.integers(outside - 1, size=samples, dtype=np.int64)
+            assert np.array_equal(ev, ev64), (outside, samples)
+            assert np.array_equal(se, (ev64 + 1 + off) % outside), (outside, samples)
+
+
+def test_walk_pairs_chunks(monkeypatch):
+    # the exhaustive walk, chunked: searcher, then evader block, every
+    # pair but a vertex with itself, at most _PAIRS a chunk
+    for size in (_PAIRS, 64, 7):
+        monkeypatch.setattr("copclean.construction._PAIRS", size)
+        for blocks, m in ((2, 2), (4, 8), (6, 12)):
+            chunks = list(_walk_pairs(blocks, m))
+            assert all(len(ev) == len(se) <= size for ev, se in chunks)
+            ev, se = (np.concatenate(side) for side in zip(*chunks))
+            want = [(i << m, s) for s in range(blocks << m) for i in range(blocks) if i << m != s]
+            assert list(zip(ev.tolist(), se.tolist())) == want
+
+
+def test_blocking_sampled_memory_bounded():
+    # the pairs stream through the kernel in chunks, so ten times the
+    # samples must not raise the traced peak by 1 MiB
+    cg = build(m=12)
+    peaks = []
+    for samples in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            assert check_blocking(cg, mode="sampled", samples=samples, seed=3).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def test_blocking_reports_do_not_depend_on_chunk_size(monkeypatch):
+    # with 7 pairs a chunk, the exhaustive walk takes one searcher a chunk,
+    # and the maxima and violations fold across hundreds of chunks: the
+    # walk meets 4 violating pairs, the 5000 samples 8, of which 5 are kept
+    cg = build(k=2, m=8, partition=((0, 2), (1, 3), (4, 6), (5, 7)), allow_bad=True)
+    checks = (dict(mode="exhaustive"), dict(mode="sampled", samples=5000, seed=1))
+    want = [check_blocking(cg, **kw).to_dict() for kw in checks]
+    assert [len(rep["violations"]) for rep in want] == [4, 5]
+    assert want[1] == sampled_recount(cg, 5000, 1)
+    monkeypatch.setattr("copclean.construction._PAIRS", 7)
+    assert [check_blocking(cg, **kw).to_dict() for kw in checks] == want
 
 
 def test_sampled_check_rejects_negative_seed():
